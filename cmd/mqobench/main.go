@@ -25,10 +25,10 @@
 // devices (chaos benchmarking — the phases report's "deg" column counts the
 // partial problems completed by greedy repair); -fail-fast aborts instead.
 //
-// Scheduling: -dag-parallel=false forces every incremental solve onto the
-// strictly sequential chain, -dag-density tunes the fallback threshold, and
-// -fig dag runs the execution-order ablation (sequential vs. DAG-parallel
-// vs. DSS off on sparse-dependency workloads).
+// Scheduling: -parallelism -1 runs every incremental solve as the strictly
+// sequential chain of Algorithm 2, and -fig dag runs the execution-order
+// ablation (sequential vs. DAG-parallel vs. DSS off on sparse-dependency
+// workloads).
 //
 // Caching: -fig warm measures the cross-solve cache on recurring workloads —
 // cold vs. structure-hit vs. warm-start latency and sweeps-to-parity
@@ -78,9 +78,6 @@ func main() {
 		fallback     = flag.String("fallback", "", "comma-separated fallback devices tried after the primary (da, da-pt, sa, hqa, va)")
 		injectFaults = flag.String("inject-faults", "", "deterministic fault schedule for every primary device, e.g. transient-first=2,terminal-after=4")
 		failFast     = flag.Bool("fail-fast", false, "abort a run on terminal device failure instead of degrading to greedy repair")
-
-		dagParallel = flag.Bool("dag-parallel", true, "schedule independent partial problems concurrently over the DSS dependency DAG (false = strictly sequential incremental chain)")
-		dagDensity  = flag.Float64("dag-density", 0, "DSS dependency-graph edge density above which the DAG scheduler falls back to the sequential chain (0 = default 0.5, >=1 = never)")
 	)
 	flag.Parse()
 
@@ -107,7 +104,6 @@ func main() {
 	}
 	cfg.Middleware = mw
 	cfg.FailFast = *failFast
-	cfg.Pipeline = bench.PipelineSpec{DisableDAG: !*dagParallel, DAGDensity: *dagDensity}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

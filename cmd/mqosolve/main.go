@@ -21,11 +21,9 @@
 // device (for chaos testing); -fail-fast aborts on terminal device failure
 // instead of completing the affected partial problems by greedy repair.
 //
-// Scheduling: the incremental strategy solves independent partial problems
-// concurrently over the DSS dependency DAG by default; -dag-parallel=false
-// forces the strictly sequential chain and -dag-density tunes the edge
-// density above which the scheduler falls back to it. Results are identical
-// either way.
+// Scheduling: the partitioned strategies solve independent partial problems
+// concurrently over the DSS dependency DAG; the "dss dag:" line reports the
+// graph's waves and width.
 //
 // Recurring workloads: -repeat N solves the instance N times; -cache turns
 // on the cross-solve cache so later epochs reuse the first epoch's
@@ -77,9 +75,6 @@ func main() {
 		injectFaults = flag.String("inject-faults", "", "deterministic fault schedule for the primary device, e.g. transient-first=2,terminal-after=4,corrupt")
 		failFast     = flag.Bool("fail-fast", false, "abort on terminal device failure instead of degrading to greedy repair")
 
-		dagParallel = flag.Bool("dag-parallel", true, "schedule independent partial problems concurrently over the DSS dependency DAG (false = strictly sequential incremental chain)")
-		dagDensity  = flag.Float64("dag-density", 0, "DSS dependency-graph edge density above which the DAG scheduler falls back to the sequential chain (0 = default 0.5, >=1 = never)")
-
 		useCache  = flag.Bool("cache", false, "enable the cross-solve cache: later -repeat epochs reuse the partitioning and encoding skeletons of earlier ones")
 		repeat    = flag.Int("repeat", 1, "solve the instance this many times (recurring-workload emulation; combine with -cache)")
 		warmDrift = flag.Float64("warm-drift", 0, "seed annealing from the cached incumbent when relative weight drift is within (0, bound]; implies -cache (0 = warm starts off)")
@@ -121,7 +116,6 @@ func main() {
 	if *useCache || *warmDrift > 0 {
 		cache = solvecache.New(0)
 	}
-	ps := bench.PipelineSpec{DisableDAG: !*dagParallel, DAGDensity: *dagDensity}
 	start := time.Now()
 	var (
 		sol   *mqo.Solution
@@ -139,7 +133,7 @@ func main() {
 				obs.NewTraceID(*seed, fmt.Sprintf("%s/%d", *algorithm, epoch)))
 			rootSpan.Attr("algorithm", *algorithm)
 		}
-		sol, cost, stats, err = run(epochCtx, *algorithm, p, *capacity, *runs, *sweeps, *seed, *timeout, mw, *failFast, ps, cache, *warmDrift)
+		sol, cost, stats, err = run(epochCtx, *algorithm, p, *capacity, *runs, *sweeps, *seed, *timeout, mw, *failFast, cache, *warmDrift)
 		if err != nil {
 			rootSpan.Attr("error", err.Error())
 		}
@@ -175,9 +169,8 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, algorithm string, p *mqo.Problem, capacity, runs, sweeps int, seed int64, timeout time.Duration, mw func(solver.Solver) solver.Solver, failFast bool, ps bench.PipelineSpec, cache *solvecache.Cache, warmDrift float64) (*mqo.Solution, float64, string, error) {
+func run(ctx context.Context, algorithm string, p *mqo.Problem, capacity, runs, sweeps int, seed int64, timeout time.Duration, mw func(solver.Solver) solver.Solver, failFast bool, cache *solvecache.Cache, warmDrift float64) (*mqo.Solution, float64, string, error) {
 	copt := core.Options{Capacity: capacity, Runs: runs, TotalSweeps: sweeps, Seed: seed, FailFast: failFast, Cache: cache, WarmStartDrift: warmDrift}
-	ps.Apply(&copt)
 	bopt := baseline.Options{Seed: seed, TimeBudget: timeout}
 	annealOutcome := func(out *core.Outcome, err error) (*mqo.Solution, float64, string, error) {
 		if err != nil {
@@ -186,11 +179,8 @@ func run(ctx context.Context, algorithm string, p *mqo.Problem, capacity, runs, 
 		stats := fmt.Sprintf("partitions: %d\ndiscarded:  %.2f (savings crossing partitions)\nreapplied:  %.2f (via DSS)\nsweeps:     %d\n",
 			out.NumPartitions, out.DiscardedSavings, out.ReappliedSavings, out.Sweeps)
 		if out.DAG != nil {
-			mode := fmt.Sprintf("%d waves, width %d", out.DAG.Waves, out.DAG.Width)
-			if out.DAG.Fallback {
-				mode = "sequential fallback (graph too dense)"
-			}
-			stats += fmt.Sprintf("dss dag:    %d edges, density %.2f — %s\n", out.DAG.Edges, out.DAG.Density, mode)
+			stats += fmt.Sprintf("dss dag:    %d edges, density %.2f — %d waves, width %d\n",
+				out.DAG.Edges, out.DAG.Density, out.DAG.Waves, out.DAG.Width)
 		}
 		if out.Cache != nil {
 			state := "miss"

@@ -10,30 +10,11 @@ import (
 	"incranneal/internal/workload"
 )
 
-// PipelineSpec captures the incremental-pipeline CLI flags shared by
-// mqosolve and mqobench (the MiddlewareSpec pattern): how the incremental
-// phase schedules its partial problems. The zero value is the default
-// pipeline — DAG scheduling enabled at the core's density threshold.
-type PipelineSpec struct {
-	// DisableDAG is -dag-parallel=false: force the strictly sequential
-	// chain of Algorithm 2.
-	DisableDAG bool
-	// DAGDensity is -dag-density: the DSS dependency-graph edge density
-	// above which the scheduler falls back to the sequential chain. Zero
-	// keeps the core default (0.5); >= 1 never falls back.
-	DAGDensity float64
-}
-
-// Apply writes the spec into a solve's options.
-func (s PipelineSpec) Apply(opt *core.Options) {
-	opt.DisableDAG = s.DisableDAG
-	opt.DAGDensityThreshold = s.DAGDensity
-}
-
 // AblationDAG compares the incremental phase's execution orders on
 // topology-controlled sparse-DAG instances (workload.GenerateDAGSweep, one
-// partial problem per community): the sequential chain of Algorithm 2, the
-// DAG-parallel wave schedule, and the DSS-off ablation (an edgeless graph —
+// partial problem per community): the sequential chain of Algorithm 2 (the
+// wave executor on one worker, Parallelism -1), the wave schedule at the
+// configured Parallelism, and the DSS-off ablation (an edgeless graph —
 // maximal concurrency, no steering). Quality columns (final cost,
 // re-applied savings) must agree bit for bit between sequential and DAG;
 // the wall columns show what the dependency slack buys.
@@ -57,7 +38,7 @@ func AblationDAG(ctx context.Context, cfg Config, scale Scale) (*Report, error) 
 			return nil, err
 		}
 		p := in.Problem
-		solve := func(disableDAG, disableDSS bool) (*core.Outcome, time.Duration, error) {
+		solve := func(parallelism int, disableDSS bool) (*core.Outcome, time.Duration, error) {
 			subs, err := in.SubProblems()
 			if err != nil {
 				return nil, 0, err
@@ -65,30 +46,26 @@ func AblationDAG(ctx context.Context, cfg Config, scale Scale) (*Report, error) 
 			opt := core.Options{
 				Device: cfg.wrap(&da.Solver{CapacityVars: cfg.DACapacity}), Runs: cfg.Runs,
 				TotalSweeps: daSweeps(cfg, p), Seed: classSeed("abl-dag-run", inst, 0, 0),
-				Parallelism: cfg.Parallelism, FailFast: cfg.FailFast,
-				DisableDAG: disableDAG, DisableDSS: disableDSS,
+				Parallelism: parallelism, FailFast: cfg.FailFast,
+				DisableDSS: disableDSS,
 			}
 			start := time.Now()
 			out, err := core.IncrementalOverSubProblems(ctx, p, subs, opt)
 			return out, time.Since(start), err
 		}
-		seq, seqWall, err := solve(true, false)
+		seq, seqWall, err := solve(-1, false)
 		if err != nil {
 			return nil, err
 		}
-		dag, dagWall, err := solve(false, false)
+		dag, dagWall, err := solve(cfg.Parallelism, false)
 		if err != nil {
 			return nil, err
 		}
-		off, _, err := solve(false, true)
+		off, _, err := solve(cfg.Parallelism, true)
 		if err != nil {
 			return nil, err
 		}
-		shape := "fallback"
-		if dag.DAG != nil && !dag.DAG.Fallback {
-			shape = fmt.Sprintf("%d×%d", dag.DAG.Waves, dag.DAG.Width)
-		}
-		r.AddRow(p.Name, shape,
+		r.AddRow(p.Name, fmt.Sprintf("%d×%d", dag.DAG.Waves, dag.DAG.Width),
 			fmt.Sprintf("%.1f", seq.Cost),
 			fmt.Sprintf("%.1f", dag.Cost),
 			fmt.Sprintf("%.1f", off.Cost),

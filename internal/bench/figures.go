@@ -389,7 +389,6 @@ func PhaseReport(ctx context.Context, cfg Config, scale Scale) (*Report, error) 
 			Parallelism: cfg.Parallelism, FailFast: cfg.FailFast,
 			Cache: solvecache.New(0),
 		}
-		cfg.Pipeline.Apply(&cachedOpt)
 		if _, err := core.SolveIncremental(ctx, p, cachedOpt); err != nil {
 			return nil, err
 		}

@@ -61,12 +61,6 @@ type Config struct {
 	// FailFast forwards to core.Options.FailFast: abort a run on terminal
 	// device failure instead of degrading to greedy repair.
 	FailFast bool
-	// Pipeline forwards the incremental-phase scheduling flags
-	// (-dag-parallel, -dag-density) into every incremental solve the
-	// roster constructs. The zero value is the default pipeline: DAG
-	// scheduling on. Results are identical either way — the spec only
-	// moves wall-clock.
-	Pipeline PipelineSpec
 }
 
 // wrap applies the configured device middleware.
@@ -252,7 +246,6 @@ func SAIncremental(cfg Config) Algorithm {
 				TotalSweeps: saSweeps(cfg, p), Seed: seed, Parallelism: cfg.Parallelism,
 				FailFast: cfg.FailFast,
 			}
-			cfg.Pipeline.Apply(&opt)
 			out, err := core.SolveIncremental(ctx, p, opt)
 			if err != nil {
 				return Score{}, err
@@ -274,7 +267,6 @@ func HQAIncremental(cfg Config) Algorithm {
 				Seed: seed, Parallelism: cfg.Parallelism,
 				FailFast: cfg.FailFast,
 			}
-			cfg.Pipeline.Apply(&opt)
 			out, err := core.SolveIncremental(ctx, p, opt)
 			if err != nil {
 				return Score{}, err
@@ -335,7 +327,6 @@ func DAIncremental(cfg Config) Algorithm {
 				TotalSweeps: daSweeps(cfg, p), Seed: seed, Parallelism: cfg.Parallelism,
 				FailFast: cfg.FailFast,
 			}
-			cfg.Pipeline.Apply(&opt)
 			out, err := core.SolveIncremental(ctx, p, opt)
 			if err != nil {
 				return Score{}, err

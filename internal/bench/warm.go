@@ -102,7 +102,6 @@ func WarmStarts(ctx context.Context, cfg Config, scale Scale) (*Report, error) {
 				TotalSweeps: sweeps, Seed: s, Parallelism: cfg.Parallelism,
 				FailFast: cfg.FailFast, Cache: cache, WarmStartDrift: drift,
 			}
-			cfg.Pipeline.Apply(&opt)
 			start := time.Now()
 			out, err := core.SolveIncremental(ctx, pp, opt)
 			return out, time.Since(start), err

@@ -47,7 +47,7 @@ func (c *CacheOutcome) Tier() string {
 	}
 }
 
-// cacheRun threads one incremental solve's cache interaction through the
+// cacheRun threads one partitioned solve's cache interaction through the
 // phases: the Lookup decision up front, skeleton checkout during
 // preparation, warm assignments during the anneal, and the Commit after
 // finalisation.

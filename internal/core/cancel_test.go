@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"incranneal/internal/da"
+	"incranneal/internal/mqo"
 	"incranneal/internal/solver"
 )
 
@@ -90,9 +91,9 @@ func TestSessionCancelMidWaveNoLeak(t *testing.T) {
 // TestDegradationsDeterministicAcrossParallelism injects terminal faults
 // keyed on the per-sub request seed — a pure function of the request, not
 // of call order — and asserts the Outcome, Degradations included, is
-// identical at every Parallelism for both schedules. Counter-based fault
-// schedules cannot make this promise under the DAG waves; seed-keyed ones
-// must.
+// identical at every Parallelism, the one-worker chain included, for both
+// partitioned strategies. Counter-based fault schedules cannot make this
+// promise under concurrent waves; seed-keyed ones must.
 func TestDegradationsDeterministicAcrossParallelism(t *testing.T) {
 	ctx := context.Background()
 	in := dagTestInstance(t)
@@ -103,28 +104,30 @@ func TestDegradationsDeterministicAcrossParallelism(t *testing.T) {
 		base.Seed + 1003: true,
 	}
 
-	for _, disableDAG := range []bool{false, true} {
+	for strategy, solve := range map[string]func(context.Context, *mqo.Problem, Options) (*Outcome, error){
+		StrategyIncremental: SolveIncremental,
+		StrategyParallel:    SolveParallel,
+	} {
 		var ref *Outcome
 		for _, par := range []int{-1, 1, 2, 4} {
 			opt := base
-			opt.DisableDAG = disableDAG
 			opt.Parallelism = par
 			opt.Device = &seedFaultSolver{inner: &da.Solver{CapacityVars: 64}, fail: fail}
-			out, err := SolveIncremental(ctx, in.Problem, opt)
+			out, err := solve(ctx, in.Problem, opt)
 			if err != nil {
-				t.Fatalf("disableDAG=%v par=%d: %v", disableDAG, par, err)
+				t.Fatalf("%s par=%d: %v", strategy, par, err)
 			}
 			if len(out.Degradations) != len(fail) {
-				t.Fatalf("disableDAG=%v par=%d: %d degradations, want %d",
-					disableDAG, par, len(out.Degradations), len(fail))
+				t.Fatalf("%s par=%d: %d degradations, want %d",
+					strategy, par, len(out.Degradations), len(fail))
 			}
 			if ref == nil {
 				ref = out
 				continue
 			}
 			if !reflect.DeepEqual(out.Degradations, ref.Degradations) {
-				t.Errorf("disableDAG=%v par=%d: degradations diverged:\n got %+v\nwant %+v",
-					disableDAG, par, out.Degradations, ref.Degradations)
+				t.Errorf("%s par=%d: degradations diverged:\n got %+v\nwant %+v",
+					strategy, par, out.Degradations, ref.Degradations)
 			}
 			assertOutcomeEqual(t, "degraded outcome", ref, out)
 		}

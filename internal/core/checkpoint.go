@@ -10,7 +10,7 @@ import (
 )
 
 // This file implements session checkpointing for the partitioned
-// incremental strategy. Algorithm 2's serial merge discipline makes every
+// strategies. The wave executor's serial merge barrier makes every
 // partial-problem merge a consistent restart point: the incumbent total
 // solution is exactly the union of the merged partial solutions, and every
 // DSS cost adjustment applied so far is a deterministic function of those
@@ -30,17 +30,19 @@ import (
 // from the checkpoint rather than recomputed. Pinned by
 // TestCheckpointResumeBitIdentity.
 
-// Checkpoint is a consistent restart point of a partitioned incremental
-// solve, as delivered to Options.CheckpointFunc after partial-problem
-// merges. It is self-contained and JSON-serialisable (the serving layer
-// journals checkpoints across process restarts): resuming needs only the
-// original problem plus the checkpoint, via Options.Resume.
+// Checkpoint is a consistent restart point of a partitioned solve, as
+// delivered to Options.CheckpointFunc after partial-problem merges. It is
+// self-contained and JSON-serialisable (the serving layer journals
+// checkpoints across process restarts): resuming needs only the original
+// problem plus the checkpoint, via Options.Resume.
 //
 // Checkpoints exist only for solves that actually partitioned; problems
 // fitting the device solve in one piece and restart from scratch.
 type Checkpoint struct {
-	// Strategy is the strategy that produced the checkpoint (currently
-	// always "incremental" — the only checkpointable strategy).
+	// Strategy names the steering mode that produced the checkpoint:
+	// "incremental" with DSS, "parallel" without (Options.DisableDSS).
+	// The two re-apply different savings, so resuming under the other
+	// mode would match neither uninterrupted run and is rejected.
 	Strategy string `json:"strategy"`
 	// Seed is the solve's Options.Seed; resuming under a different seed
 	// would not reproduce the interrupted run and is rejected.
@@ -120,11 +122,11 @@ func (sc *SubCheckpoint) localSolution(sub *mqo.SubProblem) (*mqo.Solution, erro
 }
 
 // ckptRecorder assembles and delivers checkpoints from the serial merge
-// path of a partitioned incremental solve. It is only ever touched from a
-// single goroutine (the sequential chain's loop, or the DAG schedule's
-// merge barrier), so it needs no locking. Delivery is throttled by
-// Options.CheckpointInterval; the internal Done list always grows per
-// merge, so a delivered checkpoint is complete regardless of throttling.
+// path of a partitioned solve. It is only ever touched from a single
+// goroutine (the wave executor's merge barrier), so it needs no locking.
+// Delivery is throttled by Options.CheckpointInterval; the internal Done
+// list always grows per merge, so a delivered checkpoint is complete
+// regardless of throttling.
 type ckptRecorder struct {
 	fn       func(*Checkpoint)
 	interval time.Duration
@@ -148,7 +150,7 @@ func newCkptRecorder(p *mqo.Problem, subs []*mqo.SubProblem, opt Options) *ckptR
 		fn:       opt.CheckpointFunc,
 		interval: opt.CheckpointInterval,
 		cp: Checkpoint{
-			Strategy:  StrategyIncremental,
+			Strategy:  steeringMode(opt),
 			Seed:      opt.Seed,
 			Queries:   p.NumQueries(),
 			Plans:     p.NumPlans(),
@@ -182,6 +184,16 @@ func (r *ckptRecorder) record(idx int, sub *mqo.SubProblem, global *mqo.Solution
 	r.fn(r.cp.Clone())
 }
 
+// steeringMode names the checkpoint strategy of a solve under opt: DSS
+// decides which savings are re-applied, so it decides what a replay must
+// reproduce.
+func steeringMode(opt Options) string {
+	if opt.DisableDSS {
+		return StrategyParallel
+	}
+	return StrategyIncremental
+}
+
 // resumeState is the finished-sub lookup of a resumed solve. Nil (no
 // resume) is a valid receiver everywhere.
 type resumeState struct {
@@ -200,6 +212,9 @@ func newResumeState(subs []*mqo.SubProblem, opt Options) (*resumeState, error) {
 	}
 	if cp.Seed != opt.Seed {
 		return nil, fmt.Errorf("core: checkpoint seed %d does not match solve seed %d", cp.Seed, opt.Seed)
+	}
+	if mode := steeringMode(opt); cp.Strategy != mode {
+		return nil, fmt.Errorf("core: checkpoint from a %q solve cannot resume a %q solve", cp.Strategy, mode)
 	}
 	if len(cp.QuerySets) != len(subs) {
 		return nil, fmt.Errorf("core: checkpoint has %d partial problems, partitioning produced %d",

@@ -85,36 +85,36 @@ func (s *seedFaultSolver) Solve(ctx context.Context, req solver.Request) (*solve
 // TestCheckpointResumeBitIdentity is the tentpole guarantee: a solve
 // interrupted after k partial problems and resumed from its checkpoint
 // produces the same Outcome as the uninterrupted run — costs, selections,
-// sweeps, savings totals and degradation records — for the sequential
-// chain and the DAG schedule at every Parallelism, with and without
-// degraded sub-problems.
+// sweeps, savings totals and degradation records — for the one-worker
+// chain and the wave schedule at every Parallelism, for both partitioned
+// strategies, with and without degraded sub-problems.
 func TestCheckpointResumeBitIdentity(t *testing.T) {
 	ctx := context.Background()
 	p := checkpointTestProblem(t)
 	base := checkpointTestOptions()
 
 	type variant struct {
-		name       string
-		disableDAG bool
-		par        int
-		failSeeds  []int64
+		name      string
+		solve     func(context.Context, *mqo.Problem, Options) (*Outcome, error)
+		par       int
+		failSeeds []int64
 	}
 	variants := []variant{
-		{name: "sequential/serial", disableDAG: true, par: -1},
-		{name: "sequential/par4", disableDAG: true, par: 4},
-		{name: "dag/serial", par: -1},
-		{name: "dag/par2", par: 2},
-		{name: "dag/par4", par: 4},
+		{name: "sequential/serial", solve: SolveIncremental, par: -1},
+		{name: "dag/serial", solve: SolveIncremental, par: 1},
+		{name: "dag/par2", solve: SolveIncremental, par: 2},
+		{name: "dag/par4", solve: SolveIncremental, par: 4},
+		{name: "parallel/serial", solve: SolveParallel, par: -1},
+		{name: "parallel/par4", solve: SolveParallel, par: 4},
 		// A degraded sub-problem (terminal failure on sub 1's seed) must
 		// replay its Degradation record verbatim on resume.
-		{name: "sequential/degraded", disableDAG: true, par: -1, failSeeds: []int64{base.Seed + 1001}},
-		{name: "dag/degraded", par: 2, failSeeds: []int64{base.Seed + 1001}},
+		{name: "sequential/degraded", solve: SolveIncremental, par: -1, failSeeds: []int64{base.Seed + 1001}},
+		{name: "dag/degraded", solve: SolveIncremental, par: 2, failSeeds: []int64{base.Seed + 1001}},
+		{name: "parallel/degraded", solve: SolveParallel, par: 2, failSeeds: []int64{base.Seed + 1001}},
 	}
 	for _, v := range variants {
-		v := v
 		t.Run(v.name, func(t *testing.T) {
 			opt := base
-			opt.DisableDAG = v.disableDAG
 			opt.Parallelism = v.par
 			if len(v.failSeeds) > 0 {
 				fail := make(map[int64]bool, len(v.failSeeds))
@@ -128,7 +128,7 @@ func TestCheckpointResumeBitIdentity(t *testing.T) {
 			var cps []*Checkpoint
 			refOpt := opt
 			refOpt.CheckpointFunc = func(cp *Checkpoint) { cps = append(cps, cp) }
-			ref, err := SolveIncremental(ctx, p, refOpt)
+			ref, err := v.solve(ctx, p, refOpt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +162,7 @@ func TestCheckpointResumeBitIdentity(t *testing.T) {
 				}
 				resOpt := opt
 				resOpt.Resume = &thawed
-				got, err := SolveIncremental(ctx, p, resOpt)
+				got, err := v.solve(ctx, p, resOpt)
 				if err != nil {
 					t.Fatalf("resume after %d subs: %v", k, err)
 				}
@@ -172,30 +172,40 @@ func TestCheckpointResumeBitIdentity(t *testing.T) {
 	}
 }
 
-// TestCheckpointRecordsBothSchedules pins checkpoint shape: per-merge
-// delivery, cumulative Done lists, deep-copied query sets, and the sweep
-// accounting that Outcome.Sweeps restores on resume.
+// TestCheckpointRecordsBothSchedules pins checkpoint shape for the
+// one-worker chain, the wave schedule and the parallel strategy: per-merge
+// delivery, cumulative Done lists, the steering mode, deep-copied query
+// sets, and the sweep accounting that Outcome.Sweeps restores on resume.
 func TestCheckpointRecordsBothSchedules(t *testing.T) {
 	ctx := context.Background()
 	p := checkpointTestProblem(t)
-	for _, disableDAG := range []bool{true, false} {
+	for _, tc := range []struct {
+		name     string
+		solve    func(context.Context, *mqo.Problem, Options) (*Outcome, error)
+		par      int
+		strategy string
+	}{
+		{"chain", SolveIncremental, -1, StrategyIncremental},
+		{"waves", SolveIncremental, 0, StrategyIncremental},
+		{"parallel", SolveParallel, 0, StrategyParallel},
+	} {
 		opt := checkpointTestOptions()
-		opt.DisableDAG = disableDAG
+		opt.Parallelism = tc.par
 		var cps []*Checkpoint
 		opt.CheckpointFunc = func(cp *Checkpoint) { cps = append(cps, cp) }
-		out, err := SolveIncremental(ctx, p, opt)
+		out, err := tc.solve(ctx, p, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(cps) != out.NumPartitions {
-			t.Fatalf("disableDAG=%v: %d checkpoints for %d partitions", disableDAG, len(cps), out.NumPartitions)
+			t.Fatalf("%s: %d checkpoints for %d partitions", tc.name, len(cps), out.NumPartitions)
 		}
 		totalSweeps := 0
 		for i, cp := range cps {
 			if len(cp.Done) != i+1 {
 				t.Fatalf("checkpoint %d has %d done entries", i, len(cp.Done))
 			}
-			if cp.Strategy != StrategyIncremental || cp.Seed != opt.Seed {
+			if cp.Strategy != tc.strategy || cp.Seed != opt.Seed {
 				t.Fatalf("checkpoint misidentifies itself: %+v", cp)
 			}
 			if cp.Queries != p.NumQueries() || cp.Plans != p.NumPlans() {
@@ -218,7 +228,7 @@ func TestCheckpointRecordsBothSchedules(t *testing.T) {
 			}
 		}
 		if totalSweeps != out.Sweeps {
-			t.Fatalf("disableDAG=%v: checkpointed sweeps %d, outcome %d", disableDAG, totalSweeps, out.Sweeps)
+			t.Fatalf("%s: checkpointed sweeps %d, outcome %d", tc.name, totalSweeps, out.Sweeps)
 		}
 	}
 }
@@ -230,7 +240,7 @@ func TestCheckpointIntervalThrottles(t *testing.T) {
 	ctx := context.Background()
 	p := checkpointTestProblem(t)
 	opt := checkpointTestOptions()
-	opt.DisableDAG = true
+	opt.Parallelism = -1
 	opt.CheckpointInterval = time.Hour
 	var calls int
 	opt.CheckpointFunc = func(cp *Checkpoint) { calls++ }
@@ -247,7 +257,8 @@ func TestCheckpointIntervalThrottles(t *testing.T) {
 }
 
 // TestCheckpointResumeRejectsMismatch: a checkpoint from a different
-// problem, seed or partitioning must fail the solve, not silently restart.
+// problem, seed, partitioning or steering mode must fail the solve, not
+// silently restart.
 func TestCheckpointResumeRejectsMismatch(t *testing.T) {
 	ctx := context.Background()
 	p := checkpointTestProblem(t)
@@ -267,6 +278,7 @@ func TestCheckpointResumeRejectsMismatch(t *testing.T) {
 		"shape":        func(cp *Checkpoint) { cp.Queries++ },
 		"coverage":     func(cp *Checkpoint) { cp.QuerySets[0] = cp.QuerySets[0][:len(cp.QuerySets[0])-1] },
 		"out-of-range": func(cp *Checkpoint) { cp.Done[0].Sub = len(cp.QuerySets) + 3 },
+		"steering":     func(cp *Checkpoint) { cp.Strategy = StrategyParallel },
 	}
 	for name, mutate := range cases {
 		cp := last.Clone()
@@ -277,57 +289,87 @@ func TestCheckpointResumeRejectsMismatch(t *testing.T) {
 			t.Errorf("%s mismatch: resume succeeded, want error", name)
 		}
 	}
+
+	// The same partitioning solved without DSS re-applies no savings, so
+	// its checkpoint must not resume a DSS solve, nor the reverse.
+	bad := opt
+	bad.Resume = last.Clone()
+	if _, err := SolveParallel(ctx, p, bad); err == nil {
+		t.Error("incremental checkpoint resumed a parallel solve")
+	}
+	var parLast *Checkpoint
+	parOpt := opt
+	parOpt.CheckpointFunc = func(cp *Checkpoint) { parLast = cp }
+	if _, err := SolveParallel(ctx, p, parOpt); err != nil {
+		t.Fatal(err)
+	}
+	bad.Resume = parLast
+	if _, err := SolveIncremental(ctx, p, bad); err == nil {
+		t.Error("parallel checkpoint resumed an incremental solve")
+	}
+	bad.DisableDSS = true
+	if _, err := SolveIncremental(ctx, p, bad); err != nil {
+		t.Errorf("parallel checkpoint rejected by a DSS-off incremental solve: %v", err)
+	}
 }
 
 // TestSessionCheckpointAPI covers the Session surface: EnableCheckpointing
 // stores the latest restart point, Checkpoint() hands it out, resuming
-// through a second session reproduces the first's outcome, and the
-// non-incremental strategies simply never checkpoint.
+// through a second session reproduces the first's outcome for both
+// partitioned strategies, and the default strategy simply never
+// checkpoints.
 func TestSessionCheckpointAPI(t *testing.T) {
 	ctx := context.Background()
 	p := checkpointTestProblem(t)
 	opt := checkpointTestOptions()
 
-	sess := NewSession(p, opt)
-	sess.EnableCheckpointing(0)
-	out, err := sess.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp := sess.Checkpoint()
-	if cp == nil {
-		t.Fatal("finished checkpointing session has no checkpoint")
-	}
-	if len(cp.Done) != out.NumPartitions {
-		t.Fatalf("final checkpoint records %d subs, outcome has %d", len(cp.Done), out.NumPartitions)
-	}
-
-	// Resume the full checkpoint through a fresh session: pure replay.
-	resOpt := opt
-	resOpt.Resume = cp
-	resumed := NewSession(p, resOpt)
-	got, err := resumed.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertOutcomeEqual(t, "session resume", out, got)
-
-	// Parallel and default strategies are not checkpointable: the callback
-	// must never fire and Checkpoint stays nil.
-	for _, strategy := range []string{StrategyParallel, StrategyDefault} {
-		sOpt := opt
-		sOpt.CheckpointFunc = func(*Checkpoint) {
-			t.Errorf("strategy %s delivered a checkpoint", strategy)
-		}
-		s2 := NewSession(p, sOpt)
-		s2.Strategy = strategy
-		s2.EnableCheckpointing(0)
-		if _, err := s2.Run(ctx); err != nil {
+	for _, strategy := range []string{StrategyIncremental, StrategyParallel} {
+		sess := NewSession(p, opt)
+		sess.Strategy = strategy
+		sess.EnableCheckpointing(0)
+		out, err := sess.Run(ctx)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if s2.Checkpoint() != nil {
-			t.Errorf("strategy %s stored a checkpoint", strategy)
+		cp := sess.Checkpoint()
+		if cp == nil {
+			t.Fatalf("%s: finished checkpointing session has no checkpoint", strategy)
 		}
+		if len(cp.Done) != out.NumPartitions {
+			t.Fatalf("%s: final checkpoint records %d subs, outcome has %d", strategy, len(cp.Done), out.NumPartitions)
+		}
+
+		// Resume the half-finished and the full checkpoint through fresh
+		// sessions: partial and pure replay.
+		half := cp.Clone()
+		half.Done = half.Done[:len(half.Done)/2]
+		for _, resume := range []*Checkpoint{half, cp} {
+			resOpt := opt
+			resOpt.Resume = resume
+			resumed := NewSession(p, resOpt)
+			resumed.Strategy = strategy
+			got, err := resumed.Run(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertOutcomeEqual(t, fmt.Sprintf("%s session resume after %d subs", strategy, len(resume.Done)), out, got)
+		}
+	}
+
+	// The default strategy is not checkpointable: the callback must never
+	// fire and Checkpoint stays nil.
+	sOpt := opt
+	sOpt.CheckpointFunc = func(*Checkpoint) {
+		t.Error("default strategy delivered a checkpoint")
+	}
+	s2 := NewSession(p, sOpt)
+	s2.Strategy = StrategyDefault
+	s2.EnableCheckpointing(0)
+	if _, err := s2.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if s2.Checkpoint() != nil {
+		t.Error("default strategy stored a checkpoint")
 	}
 }
 
@@ -337,7 +379,7 @@ func TestCheckpointCloneIsolation(t *testing.T) {
 	ctx := context.Background()
 	p := checkpointTestProblem(t)
 	opt := checkpointTestOptions()
-	opt.DisableDAG = true
+	opt.Parallelism = -1
 	var cps []*Checkpoint
 	opt.CheckpointFunc = func(cp *Checkpoint) {
 		// Vandalise every delivery; later deliveries must be unaffected.

@@ -12,6 +12,14 @@
 //     faster, but blind to inter-partition savings.
 //   - Default: the device's own large-problem handling (e.g. the DA's
 //     vendor partitioning) on the unpartitioned QUBO.
+//
+// Both partitioned strategies run on one executor (dag.go): the partial
+// problems are ordered by their DSS dependency graph and solved in
+// topological waves. The incremental strategy's graph links every pair of
+// partial problems that share a discarded saving, and a single worker
+// (Parallelism -1) runs its waves one partial problem at a time — exactly
+// Algorithm 2's chain. The parallel strategy turns DSS off, so its graph is
+// edgeless and every partial problem solves in one wave.
 package core
 
 import (
@@ -57,28 +65,16 @@ type Options struct {
 	PostProcessParses int
 	MinPartFraction   float64
 	// Parallelism bounds worker goroutines throughout the pipeline: it
-	// caps concurrent partial-problem solves in the parallel strategy and
-	// is forwarded to the device as Request.Parallelism, bounding its
+	// caps concurrent partial-problem solves within a wave and is
+	// forwarded to the device as Request.Parallelism, bounding its
 	// run-level worker pool. Zero means GOMAXPROCS, negative forces
 	// sequential execution. Any setting yields identical results.
 	Parallelism int
 	// DisableDSS turns dynamic search steering off in the incremental
-	// strategy (ablation): partial problems are still processed
-	// sequentially and merged, but discarded savings are never re-applied.
+	// strategy (ablation): discarded savings are never re-applied, so the
+	// partial problems are independent and solve as the parallel strategy
+	// does.
 	DisableDSS bool
-	// DisableDAG forces the incremental strategy's strictly sequential
-	// chain (Algorithm 2 verbatim). By default the strategy schedules
-	// partial problems over the DSS dependency DAG: sub-problems that share
-	// no discarded savings are solved concurrently, with cost adjustments
-	// applied at join points in a fixed order so results stay bit-identical
-	// to the sequential chain.
-	DisableDAG bool
-	// DAGDensityThreshold is the DSS-DAG edge density (realised edges over
-	// possible edges) above which the incremental strategy falls back to
-	// the sequential chain — a dense graph serialises anyway, so the
-	// scheduler would only add overhead. Zero means 0.5; a value >= 1 never
-	// falls back.
-	DAGDensityThreshold float64
 	// FailFast restores the pre-degradation contract: a terminal device
 	// failure aborts the solve with an error instead of completing the
 	// affected partial problem by greedy repair. Also forwarded to the
@@ -92,31 +88,31 @@ type Options struct {
 	// original cold solve exactly; a hit on *drifted* weights reuses the
 	// shape-derived partitioning instead of re-bisecting under the new
 	// weights — the cache's core trade, gated by the warm-start ablation
-	// figure (mqobench -fig warm). Only the incremental strategy consults
-	// the cache.
+	// figure (mqobench -fig warm). Only the partitioned strategies
+	// (incremental and parallel) consult the cache.
 	Cache *solvecache.Cache
 	// CheckpointFunc, when set, receives a consistent restart point after
-	// partial-problem merges of a partitioned incremental solve (the only
-	// checkpointable strategy; unpartitioned solves and the other
-	// strategies never call it). Checkpoints are deep copies delivered
-	// from the solve's serial merge path — the callback must not block for
-	// long, but may retain them indefinitely. See Checkpoint.
+	// partial-problem merges of a partitioned incremental or parallel solve
+	// (unpartitioned solves and the default strategy never call it).
+	// Checkpoints are deep copies delivered from the solve's serial merge
+	// path — the callback must not block for long, but may retain them
+	// indefinitely. See Checkpoint.
 	CheckpointFunc func(*Checkpoint)
 	// CheckpointInterval throttles CheckpointFunc deliveries: at least
 	// this much time passes between two calls (the first merge always
 	// delivers). Zero delivers after every merge. Finished-sub state
 	// accumulates regardless, so a throttled delivery is still complete.
 	CheckpointInterval time.Duration
-	// Resume restarts a partitioned incremental solve from a Checkpoint:
-	// partitioning is rebuilt from the checkpoint's query sets (no
-	// bisection runs), finished partial problems replay their recorded
+	// Resume restarts a partitioned incremental or parallel solve from a
+	// Checkpoint: partitioning is rebuilt from the checkpoint's query sets
+	// (no bisection runs), finished partial problems replay their recorded
 	// selections instead of solving, and the remainder solve normally. The
 	// resumed Outcome is bit-identical to the uninterrupted run (costs,
 	// selections, sweeps, degradations — not wall-clock timings). The
-	// checkpoint must come from the same problem, seed and capacity; a
-	// mismatch fails the solve. Resume disables the cross-solve cache for
-	// this solve, so a resumed run never picks up warm starts the
-	// interrupted run did not have.
+	// checkpoint must come from the same problem, seed, capacity and
+	// steering mode (DisableDSS); a mismatch fails the solve. Resume
+	// disables the cross-solve cache for this solve, so a resumed run
+	// never picks up warm starts the interrupted run did not have.
 	Resume *Checkpoint
 	// WarmStartDrift enables warm starts on structure-cache hits: when the
 	// relative weight drift against the cached solve (solvecache.
@@ -157,13 +153,13 @@ type Outcome struct {
 	// partial-problem order. Empty for a fully-annealed solve; see
 	// Options.FailFast to abort on failure instead.
 	Degradations []Degradation
-	// DAG describes the DSS dependency graph the incremental strategy
-	// built over the partial problems, nil for the other strategies, for
-	// unpartitioned solves, and under Options.DisableDAG.
+	// DAG describes the DSS dependency graph a partitioned strategy built
+	// over the partial problems (edgeless without DSS), nil for the default
+	// strategy and for unpartitioned solves.
 	DAG *DAGStats
 	// Cache reports the cross-solve cache's part in this solve; nil when
 	// no cache was configured or the solve never reached the partitioned
-	// incremental phase.
+	// phase.
 	Cache *CacheOutcome
 }
 
@@ -254,14 +250,6 @@ func (o Options) partitionSweeps(n, i int) int {
 		s = 1
 	}
 	return s
-}
-
-// dagDensityThreshold resolves the configured fallback threshold.
-func (o Options) dagDensityThreshold() float64 {
-	if o.DAGDensityThreshold > 0 {
-		return o.DAGDensityThreshold
-	}
-	return 0.5
 }
 
 // subTimings carries the per-phase durations of one partial-problem solve.
@@ -446,21 +434,30 @@ func splitWorkers(workers, n int) []int {
 	return share
 }
 
-// boundedGroup runs fns with at most limit concurrent goroutines and
-// returns the first error.
-func boundedGroup(limit int, fns []func() error) error {
+// boundedGroup runs fn(0), …, fn(n-1) with at most limit concurrent
+// goroutines and returns the first error; every call runs regardless. A
+// lone call, or a limit of one, runs inline on the calling goroutine, so a
+// one-sub wave costs no more than a step of the sequential chain.
+func boundedGroup(limit, n int, fn func(i int) error) error {
+	var firstErr error
+	if n == 1 || limit <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil && firstErr == nil {
+				firstErr = err
+			}
+		}
+		return firstErr
+	}
 	sem := make(chan struct{}, limit)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
-	var firstErr error
-	for _, fn := range fns {
-		fn := fn
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			if err := fn(); err != nil {
+			if err := fn(i); err != nil {
 				mu.Lock()
 				if firstErr == nil {
 					firstErr = err

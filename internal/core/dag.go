@@ -13,17 +13,21 @@ import (
 	"incranneal/internal/obs"
 )
 
-// This file implements the DAG-parallel incremental phase. Algorithm 2
-// processes partial problems strictly sequentially, but dynamic search
-// steering (Algorithm 3) only couples two partial problems when one's
-// discarded savings have an endpoint plan inside the other — that is the
-// only channel through which solving one partial problem can change
-// another's costs. The scheduler makes that data dependency explicit as a
-// DAG, solves independent partial problems concurrently in topological
-// waves, and applies the DSS cost adjustments at the wave boundaries in a
-// fixed, index-sorted order, so the final solution, its cost and the
-// re-applied savings total are bit-identical to the sequential chain at any
-// Options.Parallelism.
+// This file implements the wave executor, the one loop that solves, merges,
+// steers and checkpoints the partial problems of every partitioned
+// strategy. Algorithm 2 processes partial problems strictly sequentially,
+// but dynamic search steering (Algorithm 3) only couples two partial
+// problems when one's discarded savings have an endpoint plan inside the
+// other — that is the only channel through which solving one partial
+// problem can change another's costs. The executor makes that data
+// dependency explicit as a DAG, solves independent partial problems
+// concurrently in topological waves, and applies the DSS cost adjustments
+// at the wave boundaries in a fixed, index-sorted order, so the final
+// solution, its cost and the re-applied savings total are bit-identical to
+// the sequential chain at any Options.Parallelism. The chain itself is the
+// one-worker case: at Parallelism -1 the waves run one partial problem at a
+// time. Without DSS the graph is edgeless and every partial problem solves
+// in one wave — the parallel strategy.
 //
 // Why the results coincide: in the sequential chain, a discarded saving of
 // sub j with its other endpoint plan owned by sub k < j is applied by the
@@ -36,7 +40,7 @@ import (
 // sub of the selected endpoint rather than on mere membership in the
 // incumbent solution (under DAG order, sub k > j may already have merged).
 
-// DAGStats describes the DSS dependency graph of one incremental solve.
+// DAGStats describes the DSS dependency graph of one partitioned solve.
 type DAGStats struct {
 	// Nodes is the number of partial problems, Edges the number of
 	// dependency pairs (sub i, sub j) sharing at least one discarded
@@ -49,12 +53,9 @@ type DAGStats struct {
 	Waves, Width int
 	// Density is Edges over the possible n·(n−1)/2.
 	Density float64
-	// Fallback reports that the graph was too dense (Options.
-	// DAGDensityThreshold) and the sequential chain ran instead.
-	Fallback bool
 }
 
-// dssDAG is the dependency graph the scheduler executes. Node indices are
+// dssDAG is the dependency graph the executor runs. Node indices are
 // partial-problem indices; all edges point from lower to higher index, the
 // direction the sequential chain would have propagated the information, so
 // the graph is acyclic by construction.
@@ -74,9 +75,9 @@ type dssDAG struct {
 }
 
 // buildDSSDAG constructs the dependency graph over the partial problems of
-// p. When noEdges is set (the DisableDSS ablation) the graph is edgeless:
-// no savings will ever be re-applied, so every partial problem is
-// independent and the schedule is a single maximally wide wave.
+// p. When noEdges is set (DSS off) the graph is edgeless: no savings will
+// ever be re-applied, so every partial problem is independent and the
+// schedule is a single maximally wide wave.
 func buildDSSDAG(p *mqo.Problem, subs []*mqo.SubProblem, noEdges bool) *dssDAG {
 	n := len(subs)
 	d := &dssDAG{
@@ -126,11 +127,11 @@ func buildDSSDAG(p *mqo.Problem, subs []*mqo.SubProblem, noEdges bool) *dssDAG {
 }
 
 // stats exports the graph shape.
-func (d *dssDAG) stats(fallback bool) *DAGStats {
+func (d *dssDAG) stats() *DAGStats {
 	return &DAGStats{
 		Nodes: len(d.preds), Edges: d.edges,
 		Waves: len(d.waves), Width: d.width,
-		Density: d.density, Fallback: fallback,
+		Density: d.density,
 	}
 }
 
@@ -140,11 +141,11 @@ func waveLabel(w int) string { return fmt.Sprintf("wave%02d", w) }
 // applyEdge applies the DSS adjustments flowing over the edge pred → node:
 // every pending discarded saving of sub whose other endpoint plan is owned
 // by pred and selected is consumed, reducing the local plan cost
-// (Algorithm 3). The pending list is compacted in place, preserving order;
-// the applied values are returned in scan order so callers can reproduce
-// the sequential chain's float accumulation exactly.
-func applyEdge(selected []bool, planSub []int, pred int, sub *mqo.SubProblem, pending *[]mqo.Saving) []float64 {
-	var applied []float64
+// (Algorithm 3). The pending list is compacted in place, preserving order.
+// Returns the number and the sum of the applied savings.
+func applyEdge(selected []bool, planSub []int, pred int, sub *mqo.SubProblem, pending *[]mqo.Saving) (int, float64) {
+	var n int
+	var sum float64
 	kept := (*pending)[:0]
 	for _, s := range *pending {
 		plan, other := -1, -1
@@ -155,34 +156,57 @@ func applyEdge(selected []bool, planSub []int, pred int, sub *mqo.SubProblem, pe
 		}
 		if plan >= 0 && planSub[other] == pred && selected[other] {
 			sub.AdjustCost(plan, s.Value)
-			applied = append(applied, s.Value)
+			n++
+			sum += s.Value
 			continue
 		}
 		kept = append(kept, s)
 	}
 	*pending = kept
-	return applied
+	return n, sum
 }
 
-// dagJoin records the savings one edge applied, for the deterministic
-// re-applied total: summing join values sorted by (pred, node) reproduces
-// the sequential chain's accumulation order (DSS pass after merging pred,
-// remaining subs in ascending order, pending savings in scan order).
-type dagJoin struct {
-	pred, node int
-	values     []float64
+// reappliedTotal sums the savings DSS re-applied over the graph's edges in
+// the sequential chain's float association. The chain's pass after merging
+// sub k applies exactly the discarded savings whose other endpoint sub k
+// owns and selected, scanning the later subs in ascending order and each
+// pending list in order, into one subtotal per pass that it adds to the
+// running total. Merged selections never change, so the final selection
+// decides every edge, and one scan of the original Discarded lists in that
+// order reproduces each subtotal bit for bit.
+func reappliedTotal(dag *dssDAG, subs []*mqo.SubProblem, selected []bool) float64 {
+	if dag.edges == 0 {
+		return 0
+	}
+	pass := make([]float64, len(subs))
+	for j, sub := range subs {
+		for _, s := range sub.Discarded {
+			other := s.P1
+			if _, in := sub.LocalPlan(s.P1); in {
+				other = s.P2
+			}
+			if k := dag.planSub[other]; k >= 0 && k < j && selected[other] {
+				pass[k] += s.Value
+			}
+		}
+	}
+	var total float64
+	for _, v := range pass {
+		total += v
+	}
+	return total
 }
 
-// incrementalDAG executes the wave schedule: each wave's partial problems
-// solve concurrently on a splitWorkers share of the budget, then a serial
-// barrier merges the wave's solutions in ascending index order and applies
-// the next wave's join edges (node-ascending, predecessor-ascending).
+// runWaves executes the wave schedule: each wave's partial problems solve
+// concurrently on a splitWorkers share of the budget, then a serial barrier
+// merges the wave's solutions in ascending index order and applies the
+// next wave's join edges (node-ascending, predecessor-ascending).
 // Speculative encoding overlap is kept per node: a wave's encodings
 // materialise in the background while the previous wave anneals, and a
 // late join that dirties one is patched by a PreparedMQO reweight pass.
 // It mutates ttlSol, pending and tm, and returns the performed sweeps, the
 // re-applied savings magnitude and the degradations in sub index order.
-func incrementalDAG(ctx context.Context, p *mqo.Problem, subs []*mqo.SubProblem, preps []*encoding.PreparedMQO, warms [][]int8, dag *dssDAG, pending [][]mqo.Saving, ttlSol *mqo.Solution, tm *PhaseTimings, opt Options, rec *ckptRecorder, rs *resumeState) (int, float64, []Degradation, error) {
+func runWaves(ctx context.Context, p *mqo.Problem, subs []*mqo.SubProblem, preps []*encoding.PreparedMQO, warms [][]int8, dag *dssDAG, pending [][]mqo.Saving, ttlSol *mqo.Solution, tm *PhaseTimings, opt Options, rec *ckptRecorder, rs *resumeState) (int, float64, []Degradation, error) {
 	sink := obs.FromContext(ctx)
 	n := len(subs)
 	workers := parallelism(opt)
@@ -194,25 +218,88 @@ func incrementalDAG(ctx context.Context, p *mqo.Problem, subs []*mqo.SubProblem,
 	subTms := make([]subTimings, n)
 	degs := make([]*Degradation, n)
 	encNanos := make([]int64, n)
-	var joins []dagJoin
-	var overlapEncNanos int64
+	// Speculative materialisations run while the device anneals, so their
+	// time adds phase work without wall-clock.
+	var overlapEncNanos atomic.Int64
+	// solveNode anneals (or, on resume, replays) one partial problem on a
+	// share of the worker budget. It only writes node-indexed state, so the
+	// nodes of one wave run concurrently without locking.
+	solveNode := func(waveCtx context.Context, node, share int) error {
+		sub := subs[node]
+		subCtx := waveCtx
+		if sink.Enabled() {
+			subCtx = obs.WithLabel(waveCtx, subLabel(node))
+		}
+		var subSpan *obs.Span
+		subCtx, subSpan = sink.StartSpanIndexed(subCtx, "sub", node)
+		defer subSpan.End()
+		if dc := rs.sub(node); dc != nil {
+			// Resume replay: reinstall the checkpointed selections instead
+			// of annealing. The merge barrier and join edges treat the
+			// replayed solution exactly like a fresh one, so the schedule
+			// stays bit-identical.
+			best, err := dc.localSolution(sub)
+			if err != nil {
+				return err
+			}
+			global, err := sub.ToGlobal(p, best)
+			if err != nil {
+				return err
+			}
+			globals[node] = global
+			sweepCounts[node] = dc.Sweeps
+			if dc.Degraded != nil {
+				d := *dc.Degraded
+				degs[node] = &d
+			}
+			if sink.Enabled() {
+				sink.EmitCtx(subCtx, obs.Event{Name: "replay", Label: subLabel(node), Sweeps: dc.Sweeps})
+			}
+			return nil
+		}
+		if encs[node] == nil || dirty[node] {
+			t0 := time.Now()
+			encs[node] = preps[node].Encoding()
+			encNanos[node] += int64(time.Since(t0))
+			dirty[node] = false
+		}
+		best, performed, st, err := solveEncoded(subCtx, opt.Device, encs[node], opt.Runs, opt.partitionSweeps(n, node), opt.Seed+int64(1000+node), warms[node], share)
+		if err != nil {
+			if opt.FailFast || isPipelineError(err) {
+				return err
+			}
+			// Graceful degradation: the device is gone for this partial
+			// problem, but the incumbent and the remaining sub-problems are
+			// fine. Complete this one greedily on its DSS-adjusted costs.
+			var d Degradation
+			best, d = degrade(subCtx, sub.Local, node, opt.Device.Name(), err)
+			degs[node] = &d
+		}
+		global, err := sub.ToGlobal(p, best)
+		if err != nil {
+			return err
+		}
+		globals[node] = global
+		sweepCounts[node] = performed
+		subTms[node] = st
+		return nil
+	}
 	merged := 0
 	for w, wave := range dag.waves {
 		// Materialise the next wave's encodings while this wave anneals.
 		// Their costs are only touched by the join pass below, after the
-		// wait; a join that does touch one sets dirty and the owning worker
+		// wait; a join that does touch one sets dirty and the owning solve
 		// re-materialises via an allocation-free reweight.
 		var specWG sync.WaitGroup
 		if w+1 < len(dag.waves) {
 			for _, j := range dag.waves[w+1] {
-				j := j
 				dirty[j] = false
 				specWG.Add(1)
 				go func() {
 					defer specWG.Done()
 					t0 := time.Now()
 					encs[j] = preps[j].Encoding()
-					atomic.AddInt64(&overlapEncNanos, int64(time.Since(t0)))
+					overlapEncNanos.Add(int64(time.Since(t0)))
 				}()
 			}
 		}
@@ -221,68 +308,9 @@ func incrementalDAG(ctx context.Context, p *mqo.Problem, subs []*mqo.SubProblem,
 		// node so ids never depend on worker interleaving.
 		waveCtx, waveSpan := sink.StartSpanIndexed(ctx, "wave", w)
 		split := splitWorkers(workers, len(wave))
-		fns := make([]func() error, len(wave))
-		for wi, node := range wave {
-			wi, node := wi, node
-			fns[wi] = func() error {
-				sub := subs[node]
-				subCtx := waveCtx
-				if sink.Enabled() {
-					subCtx = obs.WithLabel(waveCtx, subLabel(node))
-				}
-				var subSpan *obs.Span
-				subCtx, subSpan = sink.StartSpanIndexed(subCtx, "sub", node)
-				defer subSpan.End()
-				if dc := rs.sub(node); dc != nil {
-					// Resume replay: reinstall the checkpointed selections
-					// instead of annealing. The merge barrier and join edges
-					// below treat the replayed solution exactly like a fresh
-					// one, so the wave schedule stays bit-identical.
-					best, derr := dc.localSolution(sub)
-					if derr != nil {
-						return derr
-					}
-					global, gerr := sub.ToGlobal(p, best)
-					if gerr != nil {
-						return gerr
-					}
-					globals[node] = global
-					sweepCounts[node] = dc.Sweeps
-					if dc.Degraded != nil {
-						d := *dc.Degraded
-						degs[node] = &d
-					}
-					if sink.Enabled() {
-						sink.EmitCtx(subCtx, obs.Event{Name: "replay", Label: subLabel(node), Sweeps: dc.Sweeps})
-					}
-					return nil
-				}
-				if encs[node] == nil || dirty[node] {
-					t0 := time.Now()
-					encs[node] = preps[node].Encoding()
-					encNanos[node] += int64(time.Since(t0))
-					dirty[node] = false
-				}
-				best, performed, st, err := solveEncoded(subCtx, opt.Device, encs[node], opt.Runs, opt.partitionSweeps(n, node), opt.Seed+int64(1000+node), warms[node], split[wi])
-				if err != nil {
-					if opt.FailFast || isPipelineError(err) {
-						return err
-					}
-					var d Degradation
-					best, d = degrade(subCtx, sub.Local, node, opt.Device.Name(), err)
-					degs[node] = &d
-				}
-				global, err := sub.ToGlobal(p, best)
-				if err != nil {
-					return err
-				}
-				globals[node] = global
-				sweepCounts[node] = performed
-				subTms[node] = st
-				return nil
-			}
-		}
-		err := boundedGroup(workers, fns)
+		err := boundedGroup(workers, len(wave), func(wi int) error {
+			return solveNode(waveCtx, wave[wi], split[wi])
+		})
 		specWG.Wait()
 		if err != nil {
 			return 0, 0, nil, err
@@ -303,11 +331,17 @@ func incrementalDAG(ctx context.Context, p *mqo.Problem, subs []*mqo.SubProblem,
 			}
 			merged++
 			if sink.Enabled() {
+				// Incumbent global cost after each merge: Cost skips
+				// unassigned queries, so these events trace the solve's
+				// convergence at partial-problem granularity.
 				sink.EmitCtx(waveCtx, obs.Event{Name: "merge", Label: subLabel(node), N: merged, Value: ttlSol.Cost(p)})
 			}
-			// Truncated best-so-far results from a cancelled wave must not
-			// enter a checkpoint (see the incremental schedule's record
-			// site); replayed nodes carry exact checkpoint values.
+			// An interrupted device solve returns its truncated best-so-far
+			// without error, which must not enter a checkpoint: replaying it
+			// would diverge from an uninterrupted run. Subs of a cancelled
+			// wave stay unrecorded and simply re-solve after resume.
+			// Replayed subs carry exact checkpoint values, so they record
+			// regardless.
 			if waveCtx.Err() == nil || rs.sub(node) != nil {
 				rec.record(node, subs[node], globals[node], sweepCounts[node], degs[node])
 			}
@@ -319,22 +353,17 @@ func incrementalDAG(ctx context.Context, p *mqo.Problem, subs []*mqo.SubProblem,
 			dirtied := 0
 			for _, node := range dag.waves[w+1] {
 				for _, pred := range dag.preds[node] {
-					vals := applyEdge(selected, dag.planSub, pred, subs[node], &pending[node])
-					if len(vals) == 0 {
+					applied, sum := applyEdge(selected, dag.planSub, pred, subs[node], &pending[node])
+					if applied == 0 {
 						continue
 					}
 					if !dirty[node] {
 						dirty[node] = true
 						dirtied++
 					}
-					joins = append(joins, dagJoin{pred: pred, node: node, values: vals})
-					var sum float64
-					for _, v := range vals {
-						sum += v
-					}
 					waveApplied += sum
 					if sink.Enabled() {
-						sink.EmitCtx(waveCtx, obs.Event{Name: "join", Label: subLabel(node), Run: pred, N: len(vals), Value: sum})
+						sink.EmitCtx(waveCtx, obs.Event{Name: "join", Label: subLabel(node), Run: pred, N: applied, Value: sum})
 					}
 				}
 			}
@@ -357,39 +386,15 @@ func incrementalDAG(ctx context.Context, p *mqo.Problem, subs []*mqo.SubProblem,
 			}
 		}
 	}
+	tm.Encode += time.Duration(overlapEncNanos.Load())
 	for _, ns := range encNanos {
-		overlapEncNanos += ns
+		tm.Encode += time.Duration(ns)
 	}
-	tm.Encode += time.Duration(overlapEncNanos)
 	sweeps := 0
 	for i := range subs {
 		sweeps += sweepCounts[i]
 		tm.Anneal += subTms[i].anneal
 		tm.Decode += subTms[i].decode
-	}
-	// The re-applied total in the sequential chain's float association: the
-	// chain sums each DSS pass into its own subtotal (dss's return value)
-	// and adds that to the running total, and the pass after merging sub k
-	// applies exactly the edges with pred k. So: per-pred subtotals over
-	// joins sorted by (pred, node), values in scan order, then one add per
-	// pred.
-	sort.Slice(joins, func(a, b int) bool {
-		if joins[a].pred != joins[b].pred {
-			return joins[a].pred < joins[b].pred
-		}
-		return joins[a].node < joins[b].node
-	})
-	var reapplied float64
-	for i := 0; i < len(joins); {
-		var passTotal float64
-		j := i
-		for ; j < len(joins) && joins[j].pred == joins[i].pred; j++ {
-			for _, v := range joins[j].values {
-				passTotal += v
-			}
-		}
-		reapplied += passTotal
-		i = j
 	}
 	var outDegs []Degradation
 	for _, d := range degs {
@@ -397,5 +402,5 @@ func incrementalDAG(ctx context.Context, p *mqo.Problem, subs []*mqo.SubProblem,
 			outDegs = append(outDegs, *d)
 		}
 	}
-	return sweeps, reapplied, outDegs, nil
+	return sweeps, reappliedTotal(dag, subs, selected), outDegs, nil
 }

@@ -102,33 +102,21 @@ func TestBuildDSSDAG(t *testing.T) {
 	}
 }
 
-// TestDAGMatchesSequentialSparse is the tentpole's equivalence guarantee:
+// TestDAGMatchesSequentialSparse is the executor's equivalence guarantee:
 // on a sparse dependency DAG the wave schedule must reproduce the
-// sequential chain bit for bit — cost, plan selections, re-applied savings
-// and sweep totals — at every Parallelism setting.
+// sequential chain of Algorithm 2 bit for bit — cost, plan selections,
+// re-applied savings and sweep totals — at every Parallelism setting.
 func TestDAGMatchesSequentialSparse(t *testing.T) {
 	ctx := context.Background()
 	in := dagTestInstance(t)
 	opt := dagTestOptions()
-
-	ref := func() *Outcome {
-		o := opt
-		o.DisableDAG = true
-		o.Parallelism = -1
-		out, err := IncrementalOverSubProblems(ctx, in.Problem, freshSubs(t, in), o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}()
-	if ref.DAG != nil {
-		t.Errorf("DisableDAG outcome reports DAG stats: %+v", ref.DAG)
-	}
+	opt.Parallelism = -1
+	ref := referenceIncremental(ctx, t, in.Problem, freshSubs(t, in), opt)
 	if ref.ReappliedSavings <= 0 {
 		t.Fatal("fixture re-applies no savings; the equivalence test would be vacuous")
 	}
 
-	for _, par := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+	for _, par := range []int{-1, 1, 4, runtime.GOMAXPROCS(0)} {
 		o := opt
 		o.Parallelism = par
 		out, err := IncrementalOverSubProblems(ctx, in.Problem, freshSubs(t, in), o)
@@ -136,36 +124,19 @@ func TestDAGMatchesSequentialSparse(t *testing.T) {
 			t.Fatal(err)
 		}
 		if out.DAG == nil {
-			t.Fatalf("Parallelism=%d: no DAG stats on the DAG path", par)
-		}
-		if out.DAG.Fallback {
-			t.Fatalf("Parallelism=%d: sparse DAG (density %v) fell back to sequential", par, out.DAG.Density)
+			t.Fatalf("Parallelism=%d: no DAG stats", par)
 		}
 		if out.DAG.Nodes != 8 || out.DAG.Edges != 4 || out.DAG.Waves != 2 || out.DAG.Width != 4 {
 			t.Errorf("Parallelism=%d: DAG stats %+v, want 8 nodes, 4 edges, 2 waves, width 4", par, out.DAG)
 		}
-		if out.Cost != ref.Cost {
-			t.Errorf("Parallelism=%d: cost %v, sequential %v", par, out.Cost, ref.Cost)
-		}
-		if out.ReappliedSavings != ref.ReappliedSavings {
-			t.Errorf("Parallelism=%d: reapplied %v, sequential %v", par, out.ReappliedSavings, ref.ReappliedSavings)
-		}
-		if out.Sweeps != ref.Sweeps {
-			t.Errorf("Parallelism=%d: sweeps %d, sequential %d", par, out.Sweeps, ref.Sweeps)
-		}
-		for q, pl := range out.Solution.Selected {
-			if pl != ref.Solution.Selected[q] {
-				t.Errorf("Parallelism=%d: query %d selects plan %d, sequential %d", par, q, pl, ref.Solution.Selected[q])
-				break
-			}
-		}
+		assertMatchesReference(t, fmt.Sprintf("Parallelism=%d", par), ref, out)
 	}
 }
 
-// TestDAGDenseFallback pins the density heuristic: a complete dependency
-// graph exceeds the default threshold and runs the sequential chain, while
-// raising the threshold schedules it as a (serial) DAG with identical
-// results — multi-predecessor joins included.
+// TestDAGDenseFallback pins the dense case: a complete dependency graph
+// serialises into one singleton wave per partial problem, and the executor
+// must still match the reference chain exactly — multi-predecessor joins
+// included.
 func TestDAGDenseFallback(t *testing.T) {
 	ctx := context.Background()
 	in, err := workload.GenerateDAGSweep(workload.DAGSweepConfig{
@@ -178,41 +149,20 @@ func TestDAGDenseFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := dagTestOptions()
-	opt.Parallelism = 4
+	opt.Parallelism = -1
+	ref := referenceIncremental(ctx, t, in.Problem, freshSubs(t, in), opt)
 
-	out, err := IncrementalOverSubProblems(ctx, in.Problem, freshSubs(t, in), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.DAG == nil || !out.DAG.Fallback {
-		t.Fatalf("complete dependency graph did not fall back: %+v", out.DAG)
-	}
-	if out.DAG.Density != 1 {
-		t.Errorf("density = %v, want 1", out.DAG.Density)
-	}
-
-	// Threshold >= 1 forces the schedule; the chain graph serialises into 4
-	// singleton waves and must still match the sequential result exactly.
-	forced := opt
-	forced.DAGDensityThreshold = 1
-	fOut, err := IncrementalOverSubProblems(ctx, in.Problem, freshSubs(t, in), forced)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fOut.DAG == nil || fOut.DAG.Fallback {
-		t.Fatalf("threshold 1 still fell back: %+v", fOut.DAG)
-	}
-	if fOut.DAG.Waves != 4 || fOut.DAG.Width != 1 {
-		t.Errorf("complete graph waves/width = %d/%d, want 4/1", fOut.DAG.Waves, fOut.DAG.Width)
-	}
-	if fOut.Cost != out.Cost || fOut.ReappliedSavings != out.ReappliedSavings {
-		t.Errorf("forced DAG: cost %v reapplied %v, sequential %v / %v", fOut.Cost, fOut.ReappliedSavings, out.Cost, out.ReappliedSavings)
-	}
-	for q, pl := range fOut.Solution.Selected {
-		if pl != out.Solution.Selected[q] {
-			t.Errorf("forced DAG: query %d selects plan %d, sequential %d", q, pl, out.Solution.Selected[q])
-			break
+	for _, par := range []int{-1, 4} {
+		o := opt
+		o.Parallelism = par
+		out, err := IncrementalOverSubProblems(ctx, in.Problem, freshSubs(t, in), o)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if out.DAG == nil || out.DAG.Density != 1 || out.DAG.Waves != 4 || out.DAG.Width != 1 {
+			t.Fatalf("Parallelism=%d: complete graph DAG %+v, want density 1, 4 singleton waves", par, out.DAG)
+		}
+		assertMatchesReference(t, fmt.Sprintf("Parallelism=%d", par), ref, out)
 	}
 }
 
@@ -236,8 +186,8 @@ func (s *seedFailSolver) Solve(ctx context.Context, req solver.Request) (*solver
 // TestDAGFaultDeterminism pins graceful degradation under the wave
 // schedule: a terminal failure of one mid-wave partial problem degrades
 // exactly that sub, and the outcome is bit-identical across Parallelism
-// settings and to the sequential chain (the greedy repair runs on the same
-// DSS-adjusted costs either way).
+// settings, the one-worker chain included (the greedy repair runs on the
+// same DSS-adjusted costs either way).
 func TestDAGFaultDeterminism(t *testing.T) {
 	ctx := context.Background()
 	in := dagTestInstance(t)
@@ -250,19 +200,17 @@ func TestDAGFaultDeterminism(t *testing.T) {
 
 	var ref *Outcome
 	for _, tc := range []struct {
-		name       string
-		par        int
-		disableDAG bool
+		name string
+		par  int
 	}{
-		{"seq", -1, true},
-		{"dag-par1", 1, false},
-		{"dag-par4", 4, false},
-		{"dag-par4-again", 4, false},
-		{"dag-par0", 0, false},
+		{"seq", -1},
+		{"dag-par1", 1},
+		{"dag-par4", 4},
+		{"dag-par4-again", 4},
+		{"dag-par0", 0},
 	} {
 		o := opt
 		o.Parallelism = tc.par
-		o.DisableDAG = tc.disableDAG
 		out, err := IncrementalOverSubProblems(ctx, in.Problem, freshSubs(t, in), o)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -327,8 +275,8 @@ func TestDAGObsEvents(t *testing.T) {
 			dagEvent = e
 		}
 	}
-	if counts["dag"] != 1 || dagEvent.Label != "scheduled" {
-		t.Errorf("dag events = %d (label %q), want one 'scheduled'", counts["dag"], dagEvent.Label)
+	if counts["dag"] != 1 {
+		t.Errorf("dag events = %d, want one", counts["dag"])
 	}
 	if dagEvent.N != out.DAG.Edges || dagEvent.Run != out.DAG.Waves {
 		t.Errorf("dag event N/Run = %d/%d, want %d/%d", dagEvent.N, dagEvent.Run, out.DAG.Edges, out.DAG.Waves)

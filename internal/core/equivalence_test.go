@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"incranneal/internal/da"
@@ -11,14 +12,17 @@ import (
 	"incranneal/internal/workload"
 )
 
-// referenceIncremental is the pre-skeleton incremental loop: every partial
-// problem is re-encoded from scratch with EncodeMQO after each DSS pass and
-// every sample is decoded into a fresh Solution. It exists purely as the
-// behavioural reference the prepared-encoding pipeline must reproduce bit
-// for bit.
-func referenceIncremental(ctx context.Context, t *testing.T, p *mqo.Problem, subs []*mqo.SubProblem, opt Options) *mqo.Solution {
+// referenceIncremental is Algorithm 2 verbatim: the strictly sequential
+// chain, with every partial problem re-encoded from scratch with EncodeMQO
+// after each DSS pass and every sample decoded into a fresh Solution. It
+// exists purely as the behavioural reference the wave executor must
+// reproduce bit for bit: the returned Outcome carries the solution, its
+// cost, the performed sweeps and the re-applied savings.
+func referenceIncremental(ctx context.Context, t *testing.T, p *mqo.Problem, subs []*mqo.SubProblem, opt Options) *Outcome {
 	t.Helper()
 	ttl := mqo.NewSolution(p)
+	var sweeps int
+	var reapplied float64
 	pending := make([][]mqo.Saving, len(subs))
 	for i, sub := range subs {
 		pending[i] = append([]mqo.Saving(nil), sub.Discarded...)
@@ -35,6 +39,7 @@ func referenceIncremental(ctx context.Context, t *testing.T, p *mqo.Problem, sub
 		if err != nil {
 			t.Fatal(err)
 		}
+		sweeps += res.Sweeps
 		var best *mqo.Solution
 		bestCost := 0.0
 		for _, s := range res.Samples {
@@ -63,10 +68,60 @@ func referenceIncremental(ctx context.Context, t *testing.T, p *mqo.Problem, sub
 					selected[pl] = true
 				}
 			}
-			dss(selected, subs[i+1:], pending[i+1:], make([]bool, len(subs)-i-1))
+			reapplied += dss(selected, subs[i+1:], pending[i+1:])
 		}
 	}
-	return ttl
+	return &Outcome{Solution: ttl, Cost: ttl.Cost(p), Sweeps: sweeps, ReappliedSavings: reapplied}
+}
+
+// dss implements Algorithm 3 for the reference chain: for every
+// still-unsolved partial problem and every pending discarded saving, when
+// one endpoint has been selected into the intermediate solution and the
+// other endpoint is a plan of the unsolved problem, that plan's cost is
+// reduced by the saving's value and the saving is consumed. Returns the
+// re-applied magnitude.
+func dss(selected []bool, remaining []*mqo.SubProblem, pending [][]mqo.Saving) float64 {
+	var reapplied float64
+	for i, sub := range remaining {
+		kept := pending[i][:0]
+		for _, s := range pending[i] {
+			plan, selPlan := -1, -1
+			if _, in := sub.LocalPlan(s.P1); in {
+				plan, selPlan = s.P1, s.P2
+			} else if _, in := sub.LocalPlan(s.P2); in {
+				plan, selPlan = s.P2, s.P1
+			}
+			if plan >= 0 && selected[selPlan] {
+				sub.AdjustCost(plan, s.Value)
+				reapplied += s.Value
+				continue
+			}
+			kept = append(kept, s)
+		}
+		pending[i] = kept
+	}
+	return reapplied
+}
+
+// assertMatchesReference compares an executor outcome with the reference
+// chain: cost, plan selections, sweeps and re-applied savings.
+func assertMatchesReference(t *testing.T, label string, ref, out *Outcome) {
+	t.Helper()
+	if out.Cost != ref.Cost {
+		t.Errorf("%s: cost %v, reference %v", label, out.Cost, ref.Cost)
+	}
+	if out.Sweeps != ref.Sweeps {
+		t.Errorf("%s: sweeps %d, reference %d", label, out.Sweeps, ref.Sweeps)
+	}
+	if out.ReappliedSavings != ref.ReappliedSavings {
+		t.Errorf("%s: reapplied %v, reference %v", label, out.ReappliedSavings, ref.ReappliedSavings)
+	}
+	for q, pl := range out.Solution.Selected {
+		if pl != ref.Solution.Selected[q] {
+			t.Errorf("%s: query %d selects plan %d, reference %d", label, q, pl, ref.Solution.Selected[q])
+			break
+		}
+	}
 }
 
 // TestIncrementalPipelineMatchesReference pins the tentpole's equivalence
@@ -100,7 +155,6 @@ func TestIncrementalPipelineMatchesReference(t *testing.T) {
 		t.Fatalf("instance not partitioned (%d sub-problems); equivalence test needs the incremental path", len(part.SubProblems))
 	}
 	ref := referenceIncremental(ctx, t, p, part.SubProblems, opt)
-	refCost := ref.Cost(p)
 	for _, par := range []int{-1, 1, 4} {
 		opt := opt
 		opt.Parallelism = par
@@ -114,15 +168,7 @@ func TestIncrementalPipelineMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.Cost != refCost {
-			t.Errorf("Parallelism=%d: cost %v, reference %v", par, out.Cost, refCost)
-		}
-		for q, pl := range out.Solution.Selected {
-			if pl != ref.Selected[q] {
-				t.Errorf("Parallelism=%d: query %d selects plan %d, reference %d", par, q, pl, ref.Selected[q])
-				break
-			}
-		}
+		assertMatchesReference(t, fmt.Sprintf("Parallelism=%d", par), ref, out)
 	}
 	// The full pipeline (partitioning included) must also be invariant
 	// across Parallelism settings.
@@ -138,6 +184,36 @@ func TestIncrementalPipelineMatchesReference(t *testing.T) {
 			firstCost = out.Cost
 		} else if out.Cost != firstCost {
 			t.Errorf("SolveIncremental at Parallelism=%d: cost %v, want %v", par, out.Cost, firstCost)
+		}
+	}
+}
+
+// TestParallelMatchesReference pins the parallel strategy to the reference
+// chain without DSS: with nothing re-applied, solving the partial problems
+// one after another and solving them in one wave must agree bit for bit.
+func TestParallelMatchesReference(t *testing.T) {
+	ctx := context.Background()
+	p := checkpointTestProblem(t)
+	opt := checkpointTestOptions()
+	opt.DisableDSS = true
+	part, err := opt.partitionProblem(ctx, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(part.SubProblems) < 2 {
+		t.Fatalf("instance not partitioned (%d sub-problems)", len(part.SubProblems))
+	}
+	ref := referenceIncremental(ctx, t, p, part.SubProblems, opt)
+	for _, par := range []int{-1, 1, 4} {
+		o := checkpointTestOptions()
+		o.Parallelism = par
+		out, err := SolveParallel(ctx, p, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMatchesReference(t, fmt.Sprintf("Parallelism=%d", par), ref, out)
+		if out.DAG == nil || out.DAG.Edges != 0 || out.DAG.Waves != 1 {
+			t.Errorf("Parallelism=%d: DAG %+v, want one edgeless wave", par, out.DAG)
 		}
 	}
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"incranneal/internal/encoding"
@@ -25,19 +23,38 @@ func subLabel(i int) string { return fmt.Sprintf("sub%02d", i) }
 // costs, and the best partial solution w.r.t. the incumbent total solution
 // is merged in.
 //
-// By default the partial problems are scheduled over the DSS dependency
-// DAG (see dag.go): sub-problems sharing no discarded savings solve
-// concurrently, bounded by Options.Parallelism, with results bit-identical
-// to the sequential chain. Options.DisableDAG — or a dependency graph
-// denser than Options.DAGDensityThreshold — runs the strictly sequential
-// chain of Algorithm 2 instead.
+// The partial problems are scheduled over the DSS dependency DAG (see
+// dag.go): sub-problems sharing no discarded savings solve concurrently,
+// bounded by Options.Parallelism, with results bit-identical to the
+// strictly sequential chain of Algorithm 2 — which is the schedule a single
+// worker (Parallelism -1) runs.
 //
 // Problems that already fit the device skip partitioning and are solved
 // directly; the strategies then coincide.
 func SolveIncremental(ctx context.Context, p *mqo.Problem, opt Options) (*Outcome, error) {
+	return solvePartitioned(ctx, p, opt, StrategyIncremental)
+}
+
+// SolveParallel partitions the problem and optimises every partial problem
+// independently and concurrently — the naive processing option of
+// Sec. 4.2. Merging the partial solutions yields a complete solution whose
+// cost still counts whatever cross-partition savings happen to apply
+// (Example 4.6), but the optimisation itself is blind to them, which is
+// what the incremental strategy improves on. It is the incremental pipeline
+// with DSS off: the dependency graph is edgeless, so every partial problem
+// solves in one wave.
+func SolveParallel(ctx context.Context, p *mqo.Problem, opt Options) (*Outcome, error) {
+	opt.DisableDSS = true
+	return solvePartitioned(ctx, p, opt, StrategyParallel)
+}
+
+// solvePartitioned is the pipeline behind both partitioned strategies:
+// partition (or refit a cached partitioning, or rebuild a checkpointed
+// one), then run the wave executor. strategy names the Outcome.
+func solvePartitioned(ctx context.Context, p *mqo.Problem, opt Options, strategy string) (*Outcome, error) {
 	start := time.Now()
 	if !opt.needsPartitioning(p) {
-		return solveWhole(ctx, p, opt, "incremental", start)
+		return solveWhole(ctx, p, opt, strategy, start)
 	}
 	var cr *cacheRun
 	if opt.Resume == nil {
@@ -100,7 +117,7 @@ func SolveIncremental(ctx context.Context, p *mqo.Problem, opt Options) (*Outcom
 	if cr != nil {
 		cr.querySets = part.QuerySets
 	}
-	out, err := incrementalOverSubProblems(ctx, p, part.SubProblems, opt, cr)
+	out, err := incrementalOverSubProblems(ctx, p, part.SubProblems, opt, cr, strategy)
 	if err != nil {
 		return nil, err
 	}
@@ -120,19 +137,19 @@ func SolveIncremental(ctx context.Context, p *mqo.Problem, opt Options) (*Outcom
 // quadratic structure is prepared once, up front and in parallel on the
 // run-level worker pool, because DSS only ever mutates plan costs (linear
 // coefficients and, through the penalty A, the clique weights — never the
-// term structure). Both execution orders overlap the materialisation of
-// upcoming encodings with the current device solve and patch dirtied ones
-// with an in-place reweight pass. Results are bit-identical to re-encoding
-// every sub-problem from scratch after each DSS pass, and identical between
-// the DAG schedule and the sequential chain.
+// term structure). The executor overlaps the materialisation of the next
+// wave's encodings with the current wave's device solves and patches
+// dirtied ones with an in-place reweight pass. Results are bit-identical to
+// re-encoding every sub-problem from scratch after each DSS pass, at any
+// Parallelism.
 func IncrementalOverSubProblems(ctx context.Context, p *mqo.Problem, subs []*mqo.SubProblem, opt Options) (*Outcome, error) {
-	return incrementalOverSubProblems(ctx, p, subs, opt, nil)
+	return incrementalOverSubProblems(ctx, p, subs, opt, nil, StrategyIncremental)
 }
 
 // incrementalOverSubProblems is IncrementalOverSubProblems with the solve's
-// cache interaction threaded through (nil when no cache is configured or
-// the caller owns partitioning).
-func incrementalOverSubProblems(ctx context.Context, p *mqo.Problem, subs []*mqo.SubProblem, opt Options, cr *cacheRun) (*Outcome, error) {
+// cache interaction (nil when no cache is configured or the caller owns
+// partitioning) and strategy name threaded through.
+func incrementalOverSubProblems(ctx context.Context, p *mqo.Problem, subs []*mqo.SubProblem, opt Options, cr *cacheRun, strategy string) (*Outcome, error) {
 	start := time.Now()
 	ttlSol := mqo.NewSolution(p)
 	var tm PhaseTimings
@@ -183,43 +200,23 @@ func incrementalOverSubProblems(ctx context.Context, p *mqo.Problem, subs []*mqo
 			reg.Histogram("latency.encode_ms").Observe(tm.Encode.Seconds() * 1e3)
 		}
 	}
-	// Choose the execution order: the DAG schedule whenever it is enabled
-	// and the dependency graph is sparse enough to expose concurrency.
-	var dag *dssDAG
-	var dagStats *DAGStats
-	useDAG := false
-	if !opt.DisableDAG && len(subs) > 1 {
-		dagStart := time.Now()
-		dag = buildDSSDAG(p, subs, opt.DisableDSS)
-		useDAG = dag.density <= opt.dagDensityThreshold()
-		dagStats = dag.stats(!useDAG)
-		if sink.Enabled() {
-			label := "scheduled"
-			if !useDAG {
-				label = "fallback"
-			}
-			sink.EmitCtx(ctx, obs.Event{
-				Name: "dag", Label: label, Dur: time.Since(dagStart),
-				N: dag.edges, Run: len(dag.waves), Value: dag.density, Extra: float64(dag.width),
-			})
-			if reg := sink.Metrics(); reg != nil {
-				reg.Gauge("dag.waves").Set(float64(len(dag.waves)))
-				reg.Gauge("dag.width").Set(float64(dag.width))
-				// With wave-barrier scheduling the critical path in partial
-				// problems equals the wave count; kept as its own gauge so
-				// dashboards survive a move to event-driven scheduling.
-				reg.Gauge("dag.critical_path").Set(float64(len(dag.waves)))
-			}
+	dagStart := time.Now()
+	dag := buildDSSDAG(p, subs, opt.DisableDSS)
+	if sink.Enabled() {
+		sink.EmitCtx(ctx, obs.Event{
+			Name: "dag", Dur: time.Since(dagStart),
+			N: dag.edges, Run: len(dag.waves), Value: dag.density, Extra: float64(dag.width),
+		})
+		if reg := sink.Metrics(); reg != nil {
+			reg.Gauge("dag.waves").Set(float64(len(dag.waves)))
+			reg.Gauge("dag.width").Set(float64(dag.width))
+			// With wave-barrier scheduling the critical path in partial
+			// problems equals the wave count; kept as its own gauge so
+			// dashboards survive a move to event-driven scheduling.
+			reg.Gauge("dag.critical_path").Set(float64(len(dag.waves)))
 		}
 	}
-	var sweeps int
-	var reapplied float64
-	var degs []Degradation
-	if useDAG {
-		sweeps, reapplied, degs, err = incrementalDAG(ctx, p, subs, preps, warms, dag, pending, ttlSol, &tm, opt, rec, rs)
-	} else {
-		sweeps, reapplied, degs, err = incrementalSequential(ctx, p, subs, preps, warms, pending, ttlSol, &tm, opt, rec, rs)
-	}
+	sweeps, reapplied, degs, err := runWaves(ctx, p, subs, preps, warms, dag, pending, ttlSol, &tm, opt, rec, rs)
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +230,7 @@ func incrementalOverSubProblems(ctx context.Context, p *mqo.Problem, subs []*mqo
 		reg.Counter("encode.materialise").Add(float64(es.Materialised))
 		reg.Counter("encode.reweight").Add(float64(es.Reweighted))
 	}
-	out, err := finalize(p, ttlSol, "incremental", start)
+	out, err := finalize(p, ttlSol, strategy, start)
 	if err != nil {
 		return nil, err
 	}
@@ -242,200 +239,9 @@ func incrementalOverSubProblems(ctx context.Context, p *mqo.Problem, subs []*mqo
 	out.Sweeps = sweeps
 	out.Timings = tm
 	out.Degradations = degs
-	out.DAG = dagStats
+	out.DAG = dag.stats()
 	cr.commit(p, out, preps, sink)
 	return out, nil
-}
-
-// incrementalSequential is the strictly sequential chain of Algorithm 2:
-// partial problems in index order, one DSS pass over all remaining partial
-// problems after each merge. It mutates ttlSol, pending and tm, and returns
-// the performed sweeps, the re-applied savings magnitude and the
-// degradations in sub index order.
-func incrementalSequential(ctx context.Context, p *mqo.Problem, subs []*mqo.SubProblem, preps []*encoding.PreparedMQO, warms [][]int8, pending [][]mqo.Saving, ttlSol *mqo.Solution, tm *PhaseTimings, opt Options, rec *ckptRecorder, rs *resumeState) (int, float64, []Degradation, error) {
-	sink := obs.FromContext(ctx)
-	sweeps := 0
-	var reapplied float64
-	var degs []Degradation
-	// dirty[i] is set whenever a DSS pass adjusts any cost of subs[i],
-	// invalidating a speculatively materialised encoding. selected marks
-	// the plans of the incumbent solution and is maintained incrementally
-	// across merges (each merge only adds its own sub's selections), so a
-	// DSS pass costs O(pending) rather than O(queries + pending).
-	dirty := make([]bool, len(subs))
-	selected := make([]bool, p.NumPlans())
-	enc := preps[0].Encoding()
-	// Overlapped encode time is accumulated separately: the goroutine runs
-	// while the device anneals, so it adds phase work without wall-clock.
-	var overlapEncNanos int64
-	for i, sub := range subs {
-		subCtx := ctx
-		if sink.Enabled() {
-			subCtx = obs.WithLabel(ctx, subLabel(i))
-		}
-		// Each partial problem is a "sub" span under the session (or wave)
-		// span; the index keeps the id deterministic.
-		var subSpan *obs.Span
-		subCtx, subSpan = sink.StartSpanIndexed(subCtx, "sub", i)
-		// Materialise the next encoding while the device works on this one.
-		// Its costs are only touched by the dss call below, after the join.
-		var specWG sync.WaitGroup
-		var specEnc *encoding.MQOEncoding
-		if i+1 < len(subs) {
-			dirty[i+1] = false // the materialisation below reflects current costs
-			specWG.Add(1)
-			go func(pp *encoding.PreparedMQO) {
-				defer specWG.Done()
-				t0 := time.Now()
-				specEnc = pp.Encoding()
-				atomic.AddInt64(&overlapEncNanos, int64(time.Since(t0)))
-			}(preps[i+1])
-		}
-		var best *mqo.Solution
-		var performed int
-		var st subTimings
-		var subDeg *Degradation
-		if dc := rs.sub(i); dc != nil {
-			// Resume replay: the checkpoint holds this sub-problem's final
-			// selections — reinstall them instead of re-running the device.
-			// The merge and the DSS pass below run exactly as they would
-			// have, so downstream cost adjustments stay float-identical.
-			var derr error
-			best, derr = dc.localSolution(sub)
-			specWG.Wait()
-			if derr != nil {
-				return 0, 0, nil, derr
-			}
-			performed = dc.Sweeps
-			subDeg = dc.Degraded
-			if subDeg != nil {
-				degs = append(degs, *subDeg)
-			}
-			if sink.Enabled() {
-				sink.EmitCtx(subCtx, obs.Event{Name: "replay", Label: subLabel(i), Sweeps: performed})
-			}
-		} else {
-			var err error
-			best, performed, st, err = solveEncoded(subCtx, opt.Device, enc, opt.Runs, opt.partitionSweeps(len(subs), i), opt.Seed+int64(1000+i), warms[i], opt.Parallelism)
-			specWG.Wait()
-			if err != nil {
-				if opt.FailFast || isPipelineError(err) {
-					return 0, 0, nil, err
-				}
-				// Graceful degradation: the device is gone for this partial
-				// problem, but the incumbent and the remaining sub-problems are
-				// fine. Complete this one greedily on its DSS-adjusted costs and
-				// carry on.
-				var d Degradation
-				best, d = degrade(subCtx, sub.Local, i, opt.Device.Name(), err)
-				degs = append(degs, d)
-				subDeg = &d
-			}
-		}
-		sweeps += performed
-		tm.Anneal += st.anneal
-		tm.Decode += st.decode
-		decStart := time.Now()
-		global, err := sub.ToGlobal(p, best)
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		if err := ttlSol.Merge(global); err != nil {
-			return 0, 0, nil, err
-		}
-		for _, q := range sub.Queries {
-			if pl := ttlSol.Selected[q]; pl != mqo.Unassigned {
-				selected[pl] = true
-			}
-		}
-		tm.Decode += time.Since(decStart)
-		// An interrupted device solve returns its truncated best-so-far
-		// without error, which must not enter a checkpoint: replaying it
-		// would diverge from an uninterrupted run. Cancelled subs stay
-		// unrecorded and simply re-solve after resume. Replayed subs carry
-		// exact checkpoint values, so they record regardless.
-		if subCtx.Err() == nil || rs.sub(i) != nil {
-			rec.record(i, sub, global, performed, subDeg)
-		}
-		if sink.Enabled() {
-			// Incumbent global cost after each merge: Cost skips unassigned
-			// queries, so the trajectory of these events is the incremental
-			// strategy's convergence at partial-problem granularity.
-			cost := ttlSol.Cost(p)
-			sink.EmitCtx(subCtx, obs.Event{Name: "merge", Label: subLabel(i), N: i + 1, Value: cost})
-			subSpan.EndWith(obs.Event{Value: cost})
-		}
-		if i+1 < len(subs) {
-			enc = specEnc
-			if !opt.DisableDSS {
-				dssStart := time.Now()
-				applied := dss(selected, subs[i+1:], pending[i+1:], dirty[i+1:])
-				dssDur := time.Since(dssStart)
-				reapplied += applied
-				tm.DSS += dssDur
-				if sink.Enabled() {
-					dirtied := 0
-					for _, d := range dirty[i+1:] {
-						if d {
-							dirtied++
-						}
-					}
-					sink.EmitCtx(ctx, obs.Event{Name: "dss", Label: subLabel(i), Dur: dssDur, Value: applied, N: dirtied})
-					if reg := sink.Metrics(); reg != nil {
-						reg.Counter("dss.passes").Add(1)
-						reg.Counter("dss.applied").Add(applied)
-					}
-				}
-			}
-			if dirty[i+1] {
-				// The pass adjusted the next sub-problem's costs after its
-				// encoding was speculatively materialised: patch it with one
-				// allocation-free reweight pass over the prepared skeleton.
-				t0 := time.Now()
-				enc = preps[i+1].Encoding()
-				patch := time.Since(t0)
-				tm.Encode += patch
-				if sink.Enabled() {
-					sink.EmitCtx(ctx, obs.Event{Name: "encode", Label: subLabel(i + 1), Dur: patch, N: 1})
-				}
-				dirty[i+1] = false
-			}
-		}
-	}
-	tm.Encode += time.Duration(atomic.LoadInt64(&overlapEncNanos))
-	return sweeps, reapplied, degs, nil
-}
-
-// dss implements Algorithm 3: for every still-unsolved partial problem and
-// every pending discarded saving, when one endpoint has been selected into
-// the intermediate solution and the other endpoint is a plan of the
-// unsolved problem, that plan's cost is reduced by the saving's value. The
-// saving is then consumed and the sub-problem flagged dirty so cached
-// encodings know to re-materialise. selected marks the plans of the
-// intermediate solution; the caller maintains it across merges. Returns the
-// re-applied magnitude.
-func dss(selected []bool, remaining []*mqo.SubProblem, pending [][]mqo.Saving, dirty []bool) float64 {
-	var reapplied float64
-	for i, sub := range remaining {
-		kept := pending[i][:0]
-		for _, s := range pending[i] {
-			plan, selPlan := -1, -1
-			if _, in := sub.LocalPlan(s.P1); in {
-				plan, selPlan = s.P1, s.P2
-			} else if _, in := sub.LocalPlan(s.P2); in {
-				plan, selPlan = s.P2, s.P1
-			}
-			if plan >= 0 && selected[selPlan] {
-				sub.AdjustCost(plan, s.Value)
-				reapplied += s.Value
-				dirty[i] = true
-				continue
-			}
-			kept = append(kept, s)
-		}
-		pending[i] = kept
-	}
-	return reapplied
 }
 
 // solveWhole solves an unpartitioned problem directly on the device.

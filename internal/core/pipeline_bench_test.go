@@ -43,12 +43,12 @@ func BenchmarkIncrementalPipeline(b *testing.B) {
 
 // BenchmarkIncrementalDAG measures the incremental phase alone (partitions
 // pre-extracted) at 2, 8 and 32 partial problems on stride-topology DAG
-// instances, sequential chain vs. DAG-parallel schedule — the comparison
-// behind BENCH_dag.json. Results are bit-identical between the two orders;
-// only the execution order moves. On a single core the CPU-bound variant is
-// cost-neutral; the latency variant models a remote annealing service
-// (2ms round-trip per solve, the regime the DAG schedule targets) where
-// independent partial problems overlap their round-trips.
+// instances: the one-worker chain (seq, Parallelism -1) vs. the wave
+// schedule with a worker budget (dag). Results are bit-identical between
+// the two; only the execution order moves. On a single core the CPU-bound
+// variant is cost-neutral; the latency variant models a remote annealing
+// service (2ms round-trip per solve, the regime the wave schedule targets)
+// where independent partial problems overlap their round-trips.
 func BenchmarkIncrementalDAG(b *testing.B) {
 	for _, subs := range []int{2, 8, 32} {
 		in, err := workload.GenerateDAGSweep(workload.DAGSweepConfig{
@@ -59,9 +59,11 @@ func BenchmarkIncrementalDAG(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, mode := range []struct {
-			name    string
-			disable bool
-		}{{"seq", true}, {"dag", false}} {
+			name string
+			// latencyWorkers is the worker budget of the latency variant;
+			// the CPU-bound variant always runs on one worker.
+			latencyWorkers int
+		}{{"seq", -1}, {"dag", 8}} {
 			run := func(b *testing.B, latency time.Duration, parallelism int) {
 				device := &da.Solver{CapacityVars: 64}
 				opt := Options{
@@ -70,7 +72,6 @@ func BenchmarkIncrementalDAG(b *testing.B) {
 					TotalSweeps: 2000,
 					Seed:        7,
 					Parallelism: parallelism,
-					DisableDAG:  mode.disable,
 				}
 				if latency > 0 {
 					opt.Device = faultinject.New(device, faultinject.Config{Latency: latency})
@@ -98,7 +99,7 @@ func BenchmarkIncrementalDAG(b *testing.B) {
 				run(b, 0, -1)
 			})
 			b.Run(fmt.Sprintf("subs=%d/%s/latency", subs, mode.name), func(b *testing.B) {
-				run(b, 2*time.Millisecond, 8)
+				run(b, 2*time.Millisecond, mode.latencyWorkers)
 			})
 		}
 	}

@@ -253,35 +253,35 @@ func (c *cancellingSolver) Solve(ctx context.Context, req solver.Request) (*solv
 
 func TestBoundedGroupLimitsAndPropagatesErrors(t *testing.T) {
 	var running, peak, done atomic.Int32
-	fns := make([]func() error, 8)
-	for i := range fns {
-		i := i
-		fns[i] = func() error {
-			cur := running.Add(1)
-			for {
-				p := peak.Load()
-				if cur <= p || peak.CompareAndSwap(p, cur) {
-					break
-				}
+	task := func(i int) error {
+		cur := running.Add(1)
+		for {
+			p := peak.Load()
+			if cur <= p || peak.CompareAndSwap(p, cur) {
+				break
 			}
-			time.Sleep(time.Millisecond)
-			running.Add(-1)
-			done.Add(1)
-			if i == 5 {
-				return fmt.Errorf("task %d failed", i)
-			}
-			return nil
 		}
+		time.Sleep(time.Millisecond)
+		running.Add(-1)
+		done.Add(1)
+		if i == 5 {
+			return fmt.Errorf("task %d failed", i)
+		}
+		return nil
 	}
-	err := boundedGroup(2, fns)
-	if err == nil {
-		t.Fatal("boundedGroup dropped the error")
-	}
-	if got := done.Load(); got != 8 {
-		t.Errorf("completed %d tasks, want all 8 despite the error", got)
-	}
-	if p := peak.Load(); p > 2 {
-		t.Errorf("concurrency peak %d exceeds limit 2", p)
+	for _, limit := range []int{2, 1} {
+		running.Store(0)
+		peak.Store(0)
+		done.Store(0)
+		if err := boundedGroup(limit, 8, task); err == nil {
+			t.Fatalf("limit %d: boundedGroup dropped the error", limit)
+		}
+		if got := done.Load(); got != 8 {
+			t.Errorf("limit %d: completed %d tasks, want all 8 despite the error", limit, got)
+		}
+		if p := peak.Load(); p > int32(limit) {
+			t.Errorf("limit %d: concurrency peak %d exceeds the limit", limit, p)
+		}
 	}
 }
 

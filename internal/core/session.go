@@ -21,10 +21,10 @@ const (
 
 // Incumbent is one point of an in-progress solve's global-solution
 // trajectory: the cost of the incumbent total solution after a partial
-// problem merged. The incremental strategy emits one Incumbent per partial
-// problem (its "merge" trace events carry exactly this data); every
-// strategy additionally emits one final Incumbent when the solve
-// completes. Because the incumbent covers only the queries merged so far,
+// problem merged. The partitioned strategies (incremental and parallel)
+// emit one Incumbent per partial problem (their "merge" trace events carry
+// exactly this data); every strategy additionally emits one final
+// Incumbent when the solve completes. Because the incumbent covers only the queries merged so far,
 // its Cost grows with Merged — the trajectory tracks coverage, not descent.
 type Incumbent struct {
 	// Sub is the index of the partial problem that just merged, or -1
@@ -111,9 +111,9 @@ func NewSession(p *mqo.Problem, opt Options) *Session {
 // an interruption. interval throttles snapshot deliveries (Options.
 // CheckpointInterval); zero snapshots after every partial-problem merge.
 // Must be called before Start. Checkpointing is pure observation — the
-// solve's Outcome is unchanged — and only the partitioned incremental
-// strategy produces checkpoints; for other strategies Checkpoint stays
-// nil and a "resume" is simply a fresh solve.
+// solve's Outcome is unchanged — and only partitioned solves of the
+// incremental and parallel strategies produce checkpoints; for the default
+// strategy Checkpoint stays nil and a "resume" is simply a fresh solve.
 //
 // Any Options.CheckpointFunc the caller installed keeps firing (after the
 // session stores its copy), so external sinks — the serving layer's
@@ -313,9 +313,9 @@ func (s *Session) strategyFunc() (func(context.Context, *mqo.Problem, Options) (
 
 // push delivers inc without ever blocking the emitting pipeline
 // goroutine: when the buffer is full the oldest point is dropped to make
-// room. Merge events are emitted from each strategy's serial merge loop
-// (a single goroutine even under the DAG schedule), so pushes do not race
-// each other; only the consumer drains concurrently.
+// room. Merge events are emitted from the wave executor's serial merge
+// barrier (a single goroutine), so pushes do not race each other; only the
+// consumer drains concurrently.
 func (s *Session) push(inc Incumbent) {
 	select {
 	case s.incumbents <- inc:

@@ -122,6 +122,25 @@ func TestSessionStrategies(t *testing.T) {
 			if got.Strategy != want.Strategy {
 				t.Errorf("outcome strategy %q, direct %q", got.Strategy, want.Strategy)
 			}
+			// Both partitioned strategies stream one incumbent per merged
+			// partial problem, then the final point.
+			if strategy != StrategyDefault && want.NumPartitions > 1 {
+				sess := NewSession(in.Problem, *opt)
+				sess.Strategy = strategy
+				if err := sess.Start(ctx); err != nil {
+					t.Fatal(err)
+				}
+				n := 0
+				for range sess.Incumbents() {
+					n++
+				}
+				if _, err := sess.Wait(); err != nil {
+					t.Fatal(err)
+				}
+				if n != want.NumPartitions+1 {
+					t.Errorf("streamed %d incumbents, want %d merges + 1 final", n, want.NumPartitions)
+				}
+			}
 		})
 	}
 }

@@ -517,11 +517,11 @@ func (s *Server) runJob(slot int, stacks map[string]solver.Solver, j *job) (quar
 	// Options.Resume set — the next attempt replays the finished partial
 	// problems bit-exactly and solves the rest. The final permitted
 	// attempt always runs unkilled.
-	kill := j.strategy == core.StrategyIncremental &&
+	kill := j.strategy != core.StrategyDefault &&
 		j.attempts+1 < s.cfg.maxAttempts() &&
 		s.cfg.Chaos.KillNextSolve()
 	var killCh chan struct{}
-	if kill || j.strategy == core.StrategyIncremental {
+	if j.strategy != core.StrategyDefault {
 		// Checkpointing is pure observation; enabling it whenever the
 		// strategy supports it keeps kill and no-kill attempts on the
 		// same code path.
@@ -539,7 +539,7 @@ func (s *Server) runJob(slot int, stacks map[string]solver.Solver, j *job) (quar
 	defer cancel()
 	sess := core.NewSession(j.problem, opt)
 	sess.Strategy = j.strategy
-	if j.strategy == core.StrategyIncremental {
+	if j.strategy != core.StrategyDefault {
 		sess.EnableCheckpointing(s.cfg.CheckpointInterval)
 	}
 	ctx := solveCtx
