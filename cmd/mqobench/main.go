@@ -14,7 +14,7 @@
 //
 //	-trace out.jsonl   record pipeline trace events (JSONL, one per line)
 //	-metrics           print a metrics summary table on exit
-//	-pprof :6060       serve net/http/pprof and expvar on this address
+//	-pprof :6060       serve net/http/pprof on this address
 //
 // SIGINT flushes the partial trace before exiting, so interrupted long runs
 // keep everything recorded so far.
@@ -70,7 +70,7 @@ func main() {
 		workers   = flag.Int("parallelism", 0, "worker goroutines per solve (0 = all cores, results identical for any value)")
 		trace     = flag.String("trace", "", "write a JSONL pipeline trace to this file")
 		metrics   = flag.Bool("metrics", false, "print a metrics summary on exit")
-		pprofAddr = flag.String("pprof", "", "serve pprof/expvar on this address (e.g. :6060)")
+		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
 
 		retries      = flag.Int("retries", 0, "re-attempts per device solve on transient failures (0 = no retry layer)")
 		solveTimeout = flag.Duration("solve-timeout", 0, "per-solve deadline; expiry keeps the device's best-so-far samples (0 = none)")

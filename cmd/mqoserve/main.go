@@ -104,12 +104,12 @@ func main() {
 		watchdogFactor = flag.Float64("watchdog-factor", 0, "quarantine a fleet slot whose solve overruns its remaining deadline times this factor and ignores cancellation (0 = watchdog off)")
 
 		trace     = flag.String("trace", "", "write a JSONL pipeline trace of every solve to this file")
-		pprofAddr = flag.String("pprof", "", "serve pprof/expvar on this address (e.g. :6060)")
+		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
 	)
 	flag.Parse()
 
-	// Metrics are always on for a daemon: /statsz serves the registry and
-	// -pprof exposes it as expvar too.
+	// Metrics are always on for a daemon: /statsz serves the registry as
+	// JSON and /metricsz in the Prometheus text format.
 	reg := obs.NewRegistry()
 	var sink *obs.Sink
 	var flushTrace func()
@@ -129,9 +129,8 @@ func main() {
 		flushTrace = func() {}
 	}
 	if *pprofAddr != "" {
-		obs.PublishExpvar(reg)
 		go func() {
-			// The default mux carries the net/http/pprof and expvar handlers.
+			// The default mux carries the net/http/pprof handlers.
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "mqoserve: pprof listener: %v\n", err)
 			}

@@ -12,8 +12,8 @@
 // greedy, exact, astar.
 //
 // Observability: -trace out.jsonl records pipeline trace events, -metrics
-// prints a metrics summary on exit, -pprof :6060 serves net/http/pprof and
-// expvar. SIGINT flushes the partial trace before exiting.
+// prints a metrics summary on exit, -pprof :6060 serves net/http/pprof.
+// SIGINT flushes the partial trace before exiting.
 //
 // Resilience: -retries, -solve-timeout, -breaker and -fallback wrap the
 // annealing device in retry/timeout/circuit-breaker/fallback middleware;
@@ -66,7 +66,7 @@ func main() {
 		printSol  = flag.Bool("print-solution", false, "print the selected plan per query")
 		trace     = flag.String("trace", "", "write a JSONL pipeline trace to this file")
 		metrics   = flag.Bool("metrics", false, "print a metrics summary on exit")
-		pprofAddr = flag.String("pprof", "", "serve pprof/expvar on this address (e.g. :6060)")
+		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
 
 		retries      = flag.Int("retries", 0, "re-attempts per device solve on transient failures (0 = no retry layer)")
 		solveTimeout = flag.Duration("solve-timeout", 0, "per-solve deadline; expiry keeps the device's best-so-far samples (0 = none)")

@@ -123,6 +123,11 @@ type Options struct {
 	// always run cold-seeded, so re-solving an identical problem stays
 	// bit-identical to the first solve.
 	WarmStartDrift float64
+
+	// onMerge receives the incumbent after every partial-problem merge of
+	// a partitioned solve, from the wave executor's serial merge barrier.
+	// Only Session.Start sets it, on the session's own copy of the options.
+	onMerge func(Incumbent)
 }
 
 // Outcome reports a completed MQO solve.
@@ -267,56 +272,29 @@ func solveEncoded(ctx context.Context, dev solver.Solver, enc *encoding.MQOEncod
 	if err := solver.CheckCapacity(dev, enc.Model); err != nil {
 		return nil, 0, st, err
 	}
-	sink := obs.FromContext(ctx)
-	// The device solve is the "anneal" span of the request's trace; without
-	// an enclosing span (direct Solve* calls, no trace) the same payload is
-	// emitted as the historical flat event, so traces gain structure without
-	// changing the un-traced event vocabulary.
-	annealCtx, annealSpan := sink.StartSpan(ctx, "anneal")
-	t0 := time.Now()
+	annealCtx, ph := obs.StartPhase(ctx, "anneal")
 	res, err := dev.Solve(annealCtx, solver.Request{Model: enc.Model, Runs: runs, Sweeps: sweeps, Seed: seed, Parallelism: parallelism, Warm: warm})
-	st.anneal = time.Since(t0)
 	if err != nil {
-		annealSpan.Attr("error", "device").End()
+		st.anneal = ph.Fail("device")
 		return nil, 0, st, err
 	}
-	if sink.Enabled() {
-		e := obs.Event{
-			Name: "anneal", Device: dev.Name(), Label: obs.LabelFromContext(ctx),
-			Dur: st.anneal, Sweeps: res.Sweeps, N: enc.Model.NumVariables(),
-		}
-		if annealSpan != nil {
-			annealSpan.Attr("device", dev.Name()).EndWith(e)
-		} else {
-			sink.Emit(e)
-		}
-		if reg := sink.Metrics(); reg != nil {
-			reg.Histogram("latency.anneal_ms").Observe(st.anneal.Seconds() * 1e3)
-		}
-	}
-	t0 = time.Now()
+	st.anneal = ph.End(obs.Event{Device: dev.Name(), Sweeps: res.Sweeps, N: enc.Model.NumVariables()})
+	_, ph = obs.StartPhase(ctx, "decode")
 	best, bestCost, repaired, err := bestDecoded(enc, res.Samples)
-	st.decode = time.Since(t0)
+	st.decode = ph.End(obs.Event{Device: dev.Name(), N: len(res.Samples), Extra: float64(repaired), Value: bestCost})
 	if err != nil {
 		// Shape mismatches are pipeline bugs, not device outages: mark them
 		// so the degradation paths re-raise instead of repairing them away.
 		return nil, 0, st, &pipelineError{err}
 	}
+	if reg := obs.FromContext(ctx).Metrics(); reg != nil {
+		reg.Counter("decode.samples").Add(float64(len(res.Samples)))
+		reg.Counter("decode.repaired").Add(float64(repaired))
+	}
 	if best == nil {
 		// The device "succeeded" with zero samples (e.g. cancelled before
 		// its first sweep, or a fault-injected empty result).
 		return nil, res.Sweeps, st, fmt.Errorf("core: device %s returned no samples", dev.Name())
-	}
-	if sink.Enabled() {
-		sink.EmitCtx(ctx, obs.Event{
-			Name: "decode", Device: dev.Name(), Label: obs.LabelFromContext(ctx),
-			Dur: st.decode, N: len(res.Samples), Extra: float64(repaired), Value: bestCost,
-		})
-		if reg := sink.Metrics(); reg != nil {
-			reg.Counter("decode.samples").Add(float64(len(res.Samples)))
-			reg.Counter("decode.repaired").Add(float64(repaired))
-			reg.Histogram("latency.decode_ms").Observe(st.decode.Seconds() * 1e3)
-		}
 	}
 	return best, res.Sweeps, st, nil
 }

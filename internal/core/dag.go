@@ -303,10 +303,13 @@ func runWaves(ctx context.Context, p *mqo.Problem, subs []*mqo.SubProblem, preps
 				}()
 			}
 		}
-		waveStart := time.Now()
-		// One span per topological wave; sub spans hang off it, indexed by
-		// node so ids never depend on worker interleaving.
-		waveCtx, waveSpan := sink.StartSpanIndexed(ctx, "wave", w)
+		// One phase per topological wave; sub spans hang off its span,
+		// indexed by node so ids never depend on worker interleaving.
+		waveCtx := ctx
+		if sink.Enabled() {
+			waveCtx = obs.WithLabel(ctx, waveLabel(w))
+		}
+		waveCtx, ph := obs.StartPhaseIndexed(waveCtx, "wave", w)
 		split := splitWorkers(workers, len(wave))
 		err := boundedGroup(workers, len(wave), func(wi int) error {
 			return solveNode(waveCtx, wave[wi], split[wi])
@@ -320,6 +323,7 @@ func runWaves(ctx context.Context, p *mqo.Problem, subs []*mqo.SubProblem, preps
 		// a node's predecessors have merged by its wave boundary, so every
 		// edge fires exactly once, with final selections.
 		mergeStart := time.Now()
+		var cost float64
 		for _, node := range wave {
 			if err := ttlSol.Merge(globals[node]); err != nil {
 				return 0, 0, nil, err
@@ -330,11 +334,17 @@ func runWaves(ctx context.Context, p *mqo.Problem, subs []*mqo.SubProblem, preps
 				}
 			}
 			merged++
-			if sink.Enabled() {
+			if sink.Enabled() || opt.onMerge != nil {
 				// Incumbent global cost after each merge: Cost skips
-				// unassigned queries, so these events trace the solve's
+				// unassigned queries, so these points trace the solve's
 				// convergence at partial-problem granularity.
-				sink.EmitCtx(waveCtx, obs.Event{Name: "merge", Label: subLabel(node), N: merged, Value: ttlSol.Cost(p)})
+				cost = ttlSol.Cost(p)
+				if sink.Enabled() {
+					sink.EmitCtx(waveCtx, obs.Event{Name: "merge", Label: subLabel(node), N: merged, Value: cost})
+				}
+				if opt.onMerge != nil {
+					opt.onMerge(Incumbent{Sub: node, Merged: merged, Cost: cost})
+				}
 			}
 			// An interrupted device solve returns its truncated best-so-far
 			// without error, which must not enter a checkpoint: replaying it
@@ -348,7 +358,7 @@ func runWaves(ctx context.Context, p *mqo.Problem, subs []*mqo.SubProblem, preps
 		}
 		tm.Decode += time.Since(mergeStart)
 		if w+1 < len(dag.waves) && dag.edges > 0 {
-			dssStart := time.Now()
+			_, dss := obs.StartPhase(waveCtx, "dss")
 			var waveApplied float64
 			dirtied := 0
 			for _, node := range dag.waves[w+1] {
@@ -367,24 +377,13 @@ func runWaves(ctx context.Context, p *mqo.Problem, subs []*mqo.SubProblem, preps
 					}
 				}
 			}
-			dssDur := time.Since(dssStart)
-			tm.DSS += dssDur
-			if sink.Enabled() {
-				sink.EmitCtx(waveCtx, obs.Event{Name: "dss", Label: waveLabel(w), Dur: dssDur, Value: waveApplied, N: dirtied})
-				if reg := sink.Metrics(); reg != nil {
-					reg.Counter("dss.passes").Add(1)
-					reg.Counter("dss.applied").Add(waveApplied)
-				}
+			tm.DSS += dss.End(obs.Event{Value: waveApplied, N: dirtied})
+			if reg := sink.Metrics(); reg != nil {
+				reg.Counter("dss.passes").Add(1)
+				reg.Counter("dss.applied").Add(waveApplied)
 			}
 		}
-		if sink.Enabled() {
-			e := obs.Event{Name: "wave", Label: waveLabel(w), N: len(wave), Run: workers, Dur: time.Since(waveStart), Value: ttlSol.Cost(p)}
-			if waveSpan != nil {
-				waveSpan.EndWith(e)
-			} else {
-				sink.Emit(e)
-			}
-		}
+		ph.End(obs.Event{N: len(wave), Run: workers, Value: cost})
 	}
 	tm.Encode += time.Duration(overlapEncNanos.Load())
 	for _, ns := range encNanos {

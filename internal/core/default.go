@@ -19,97 +19,50 @@ import (
 func SolveDefault(ctx context.Context, p *mqo.Problem, opt Options) (*Outcome, error) {
 	start := time.Now()
 	var tm PhaseTimings
-	encStart := time.Now()
+	_, ph := obs.StartPhase(ctx, "encode")
 	pp, err := encoding.PrepareMQO(p)
 	if err != nil {
 		return nil, err
 	}
 	enc := pp.Encoding()
-	tm.Encode = time.Since(encStart)
-	req := solver.Request{Model: enc.Model, Runs: opt.Runs, Sweeps: opt.TotalSweeps, Seed: opt.Seed, Parallelism: opt.Parallelism}
-	var res *solver.Result
-	capacity := opt.Device.Capacity()
-	annealCtx, annealSpan := obs.FromContext(ctx).StartSpan(ctx, "anneal")
-	annealStart := time.Now()
-	switch {
-	case capacity == 0 || enc.Model.NumVariables() <= capacity:
-		res, err = opt.Device.Solve(annealCtx, req)
-	default:
-		ls, ok := opt.Device.(solver.LargeSolver)
+	tm.Encode = ph.End(obs.Event{N: 1})
+	dev := opt.Device
+	if c := dev.Capacity(); c > 0 && enc.Model.NumVariables() > c {
+		ls, ok := dev.(solver.LargeSolver)
 		if !ok {
-			annealSpan.Attr("error", "capacity").End()
-			return nil, fmt.Errorf("core: problem needs %d variables but device %s caps at %d and offers no default partitioning", enc.Model.NumVariables(), opt.Device.Name(), capacity)
+			return nil, fmt.Errorf("core: problem needs %d variables but device %s caps at %d and offers no default partitioning", enc.Model.NumVariables(), dev.Name(), c)
 		}
-		res, err = ls.SolveLarge(annealCtx, req)
+		dev = largeDevice{ls}
 	}
-	tm.Anneal = time.Since(annealStart)
+	best, sweeps, st, err := solveEncoded(ctx, dev, enc, opt.Runs, opt.TotalSweeps, opt.Seed, nil, opt.Parallelism)
 	var degs []Degradation
 	if err != nil {
-		annealSpan.Attr("error", "device").End()
-		if opt.FailFast {
+		if opt.FailFast || isPipelineError(err) {
 			return nil, err
 		}
-		var bestSol *mqo.Solution
 		var d Degradation
-		bestSol, d = degrade(ctx, p, -1, opt.Device.Name(), err)
-		degs = append(degs, d)
-		out, err := finalize(p, bestSol, "default", start)
-		if err != nil {
-			return nil, err
-		}
-		out.NumPartitions = 1
-		out.Timings = tm
-		out.Degradations = degs
-		return out, nil
-	}
-	sink := obs.FromContext(ctx)
-	if sink.Enabled() {
-		e := obs.Event{
-			Name: "anneal", Device: opt.Device.Name(),
-			Dur: tm.Anneal, Sweeps: res.Sweeps, N: enc.Model.NumVariables(),
-		}
-		if annealSpan != nil {
-			annealSpan.Attr("device", opt.Device.Name()).EndWith(e)
-		} else {
-			sink.Emit(e)
-		}
-		if reg := sink.Metrics(); reg != nil {
-			reg.Histogram("latency.anneal_ms").Observe(tm.Anneal.Seconds() * 1e3)
-			reg.Histogram("latency.encode_ms").Observe(tm.Encode.Seconds() * 1e3)
-		}
-	}
-	decStart := time.Now()
-	bestSol, bestCost, repaired, err := bestDecoded(enc, res.Samples)
-	tm.Decode = time.Since(decStart)
-	if err != nil {
-		return nil, err
-	}
-	if bestSol == nil {
-		if opt.FailFast {
-			return nil, fmt.Errorf("core: device %s returned no samples", opt.Device.Name())
-		}
-		var d Degradation
-		bestSol, d = degrade(ctx, p, -1, opt.Device.Name(),
-			fmt.Errorf("core: device %s returned no samples", opt.Device.Name()))
+		best, d = degrade(ctx, p, -1, opt.Device.Name(), err)
 		degs = append(degs, d)
 	}
-	if sink.Enabled() {
-		sink.Emit(obs.Event{
-			Name: "decode", Device: opt.Device.Name(),
-			Dur: tm.Decode, N: len(res.Samples), Extra: float64(repaired), Value: bestCost,
-		})
-		if reg := sink.Metrics(); reg != nil {
-			reg.Counter("decode.samples").Add(float64(len(res.Samples)))
-			reg.Counter("decode.repaired").Add(float64(repaired))
-		}
-	}
-	out, err := finalize(p, bestSol, "default", start)
+	tm.Anneal, tm.Decode = st.anneal, st.decode
+	out, err := finalize(p, best, StrategyDefault, start)
 	if err != nil {
 		return nil, err
 	}
 	out.NumPartitions = 1
-	out.Sweeps = res.Sweeps
+	out.Sweeps = sweeps
 	out.Timings = tm
 	out.Degradations = degs
 	return out, nil
+}
+
+// largeDevice routes Solve to the device's own large-problem handling
+// (SolveLarge), so the default strategy anneals and decodes through
+// solveEncoded like every other strategy.
+type largeDevice struct{ solver.LargeSolver }
+
+func (d largeDevice) Capacity() int { return 0 }
+
+func (d largeDevice) Solve(ctx context.Context, req solver.Request) (*solver.Result, error) {
+	return d.SolveLarge(ctx, req)
 }

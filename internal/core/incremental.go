@@ -63,20 +63,17 @@ func solvePartitioned(ctx context.Context, p *mqo.Problem, opt Options, strategy
 		// have would break resume bit-identity.
 		cr = newCacheRun(p, opt)
 	}
-	sink := obs.FromContext(ctx)
-	// The partitioning phase is the first child span of a traced request; on
-	// un-traced runs StartSpan is a no-op and the partition package's own
-	// events remain the only record, as before.
-	partCtx, partSpan := sink.StartSpan(ctx, "partition")
-	partStart := time.Now()
+	partCtx, ph := obs.StartPhase(ctx, "partition")
+	source := "fresh"
 	var part *partition.Result
 	var err error
 	if opt.Resume != nil {
 		// Resume: rebuild the checkpointed partitioning by re-extraction —
 		// deterministic, so the sub-problems match the interrupted run's.
+		source = "resume"
 		part, err = resumePartition(p, opt.Resume)
 		if err != nil {
-			partSpan.Attr("error", "resume").End()
+			ph.Fail("resume")
 			return nil, err
 		}
 	} else if cr != nil && cr.hit != nil {
@@ -84,6 +81,7 @@ func solvePartitioned(ctx context.Context, p *mqo.Problem, opt Options, strategy
 		// re-bisecting. Refit validates coverage and only re-bisects sets
 		// the capacity no longer admits, so a plain recurrence skips the
 		// annealer-backed recursion entirely.
+		source = "refit"
 		part, err = partition.Refit(partCtx, p, cr.hit.QuerySets, opt.partitionOptions())
 		if err != nil {
 			// A cached partitioning that fails to refit (fingerprint
@@ -91,29 +89,19 @@ func solvePartitioned(ctx context.Context, p *mqo.Problem, opt Options, strategy
 			// partition from scratch.
 			opt.Cache.Invalidate(p)
 			cr.demote()
-			part = nil
+			source, part = "fresh", nil
 		}
 	}
 	if part == nil {
 		part, err = opt.partitionProblem(partCtx, p)
 		if err != nil {
-			partSpan.Attr("error", "partition").End()
+			ph.Fail("partition")
 			return nil, err
 		}
 	}
-	partElapsed := time.Since(partStart)
-	if partSpan != nil {
-		source := "fresh"
-		if opt.Resume != nil {
-			source = "resume"
-		} else if cr != nil && cr.hit != nil {
-			source = "refit"
-		}
-		partSpan.Attr("source", source).EndWith(obs.Event{N: len(part.SubProblems)})
-	}
-	if reg := sink.Metrics(); reg != nil {
-		reg.Histogram("latency.partition_ms").Observe(partElapsed.Seconds() * 1e3)
-	}
+	partElapsed := ph.Attr("source", source).End(obs.Event{
+		N: len(part.SubProblems), Value: part.DiscardedSavings, Extra: float64(part.Bisections),
+	})
 	if cr != nil {
 		cr.querySets = part.QuerySets
 	}
@@ -167,7 +155,7 @@ func incrementalOverSubProblems(ctx context.Context, p *mqo.Problem, subs []*mqo
 	if err != nil {
 		return nil, err
 	}
-	encStart := time.Now()
+	_, ph := obs.StartPhase(ctx, "encode")
 	preps := make([]*encoding.PreparedMQO, len(subs))
 	prepErrs := make([]error, len(subs))
 	solver.ForEachRun(len(subs), parallelism(opt), func(i int) {
@@ -192,29 +180,18 @@ func incrementalOverSubProblems(ctx context.Context, p *mqo.Problem, subs []*mqo
 	for i, sub := range subs {
 		warms[i] = cr.warmFor(sub)
 	}
-	tm.Encode += time.Since(encStart)
-	sink := obs.FromContext(ctx)
-	if sink.Enabled() {
-		sink.EmitCtx(ctx, obs.Event{Name: "encode", Dur: tm.Encode, N: len(subs)})
-		if reg := sink.Metrics(); reg != nil {
-			reg.Histogram("latency.encode_ms").Observe(tm.Encode.Seconds() * 1e3)
-		}
-	}
-	dagStart := time.Now()
+	tm.Encode = ph.End(obs.Event{N: len(subs)})
+	_, ph = obs.StartPhase(ctx, "dag")
 	dag := buildDSSDAG(p, subs, opt.DisableDSS)
-	if sink.Enabled() {
-		sink.EmitCtx(ctx, obs.Event{
-			Name: "dag", Dur: time.Since(dagStart),
-			N: dag.edges, Run: len(dag.waves), Value: dag.density, Extra: float64(dag.width),
-		})
-		if reg := sink.Metrics(); reg != nil {
-			reg.Gauge("dag.waves").Set(float64(len(dag.waves)))
-			reg.Gauge("dag.width").Set(float64(dag.width))
-			// With wave-barrier scheduling the critical path in partial
-			// problems equals the wave count; kept as its own gauge so
-			// dashboards survive a move to event-driven scheduling.
-			reg.Gauge("dag.critical_path").Set(float64(len(dag.waves)))
-		}
+	ph.End(obs.Event{N: dag.edges, Run: len(dag.waves), Value: dag.density, Extra: float64(dag.width)})
+	sink := obs.FromContext(ctx)
+	if reg := sink.Metrics(); reg != nil {
+		reg.Gauge("dag.waves").Set(float64(len(dag.waves)))
+		reg.Gauge("dag.width").Set(float64(dag.width))
+		// With wave-barrier scheduling the critical path in partial
+		// problems equals the wave count; kept as its own gauge so
+		// dashboards survive a move to event-driven scheduling.
+		reg.Gauge("dag.critical_path").Set(float64(len(dag.waves)))
 	}
 	sweeps, reapplied, degs, err := runWaves(ctx, p, subs, preps, warms, dag, pending, ttlSol, &tm, opt, rec, rs)
 	if err != nil {
@@ -251,13 +228,13 @@ func solveWhole(ctx context.Context, p *mqo.Problem, opt Options, strategy strin
 		return nil, err
 	}
 	var tm PhaseTimings
-	encStart := time.Now()
+	_, ph := obs.StartPhase(ctx, "encode")
 	pp, err := encoding.PrepareMQO(sub.Local)
 	if err != nil {
 		return nil, err
 	}
 	enc := pp.Encoding()
-	tm.Encode = time.Since(encStart)
+	tm.Encode = ph.End(obs.Event{N: 1})
 	best, performed, st, err := solveEncoded(ctx, opt.Device, enc, opt.Runs, opt.partitionSweeps(1, 0), opt.Seed, nil, opt.Parallelism)
 	var degs []Degradation
 	if err != nil {
@@ -268,14 +245,11 @@ func solveWhole(ctx context.Context, p *mqo.Problem, opt Options, strategy strin
 		best, d = degrade(ctx, sub.Local, -1, opt.Device.Name(), err)
 		degs = append(degs, d)
 	}
-	tm.Anneal = st.anneal
-	tm.Decode = st.decode
-	decStart := time.Now()
+	tm.Anneal, tm.Decode = st.anneal, st.decode
 	global, err := sub.ToGlobal(p, best)
 	if err != nil {
 		return nil, err
 	}
-	tm.Decode += time.Since(decStart)
 	out, err := finalize(p, global, strategy, start)
 	if err != nil {
 		return nil, err

@@ -4,10 +4,13 @@ import (
 	"context"
 	"math"
 	"testing"
+	"time"
 
 	"incranneal/internal/da"
+	"incranneal/internal/faultinject"
 	"incranneal/internal/mqo"
 	"incranneal/internal/obs"
+	"incranneal/internal/sa"
 	"incranneal/internal/workload"
 )
 
@@ -133,5 +136,108 @@ func TestObsIncrementalEmitsPipelineEvents(t *testing.T) {
 	}
 	if reg.Counter("anneal.sweeps.da").Value() == 0 {
 		t.Error("anneal.sweeps.da counter empty")
+	}
+}
+
+// TestObsSingleClock pins spans as the pipeline's only clock: each
+// PhaseTimings entry is exactly the duration its phase spans record, at any
+// Parallelism, and a traced solve records its partitioning once.
+func TestObsSingleClock(t *testing.T) {
+	in := dagTestInstance(t)
+	for _, par := range []int{-1, 1, 4} {
+		sink := obs.NewCollector(nil)
+		ctx, root := sink.StartTrace(obs.NewContext(context.Background(), sink), "solve", obs.NewTraceID(1, "clock"))
+		opt := dagTestOptions()
+		opt.Parallelism = par
+		out, err := SolveIncremental(ctx, in.Problem, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		if out.NumPartitions < 2 || out.DAG.Waves < 2 {
+			t.Fatalf("parallelism %d: instance did not partition into several waves: %+v", par, out.DAG)
+		}
+		partitions := 0
+		var part, anneal, dss time.Duration
+		for _, e := range sink.Events() {
+			switch e.Name {
+			case "partition":
+				partitions++
+				part = e.Dur
+			case "anneal":
+				anneal += e.Dur
+			case "dss":
+				dss += e.Dur
+			}
+		}
+		if partitions != 1 {
+			t.Errorf("parallelism %d: %d partition events, want 1", par, partitions)
+		}
+		if out.Timings.Partition != part {
+			t.Errorf("parallelism %d: Timings.Partition %v, partition span %v", par, out.Timings.Partition, part)
+		}
+		if out.Timings.Anneal != anneal {
+			t.Errorf("parallelism %d: Timings.Anneal %v, anneal spans sum to %v", par, out.Timings.Anneal, anneal)
+		}
+		if out.Timings.DSS != dss {
+			t.Errorf("parallelism %d: Timings.DSS %v, dss spans sum to %v", par, out.Timings.DSS, dss)
+		}
+	}
+}
+
+// TestObsSolveDefaultPhases holds the default strategy's observations to
+// the partitioned strategies': one encode, anneal and decode latency sample
+// per solve, the encode sample even when the device fails, and every phase
+// event of a traced solve inside its trace. (The devices' own "run" and
+// "pool" points are not trace-linked.)
+func TestObsSolveDefaultPhases(t *testing.T) {
+	p := mqo.PaperExample()
+	samples := func(reg *obs.Registry, phase string) int64 {
+		return reg.Histogram("latency." + phase + "_ms").Snapshot().Count
+	}
+
+	reg := obs.NewRegistry()
+	ctx := obs.NewContext(context.Background(), obs.NewSink(nil, reg))
+	if _, err := SolveDefault(ctx, p, Options{Device: &sa.Solver{}, Runs: 2, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, phase := range []string{"encode", "anneal", "decode"} {
+		if n := samples(reg, phase); n != 1 {
+			t.Errorf("latency.%s_ms observed %d times, want 1", phase, n)
+		}
+	}
+
+	reg = obs.NewRegistry()
+	ctx = obs.NewContext(context.Background(), obs.NewSink(nil, reg))
+	dead := faultinject.New(&sa.Solver{}, faultinject.Config{TerminalAfter: 0, TransientFirst: 99})
+	out, err := SolveDefault(ctx, p, Options{Device: dead, Runs: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Degradations) != 1 {
+		t.Fatalf("terminal device left degradations %+v, want one", out.Degradations)
+	}
+	if n := samples(reg, "encode"); n != 1 {
+		t.Errorf("failed solve observed latency.encode_ms %d times, want 1", n)
+	}
+
+	sink := obs.NewCollector(nil)
+	ctx, root := sink.StartTrace(obs.NewContext(context.Background(), sink), "solve", obs.NewTraceID(1, "default"))
+	if _, err := SolveDefault(ctx, p, Options{Device: &sa.Solver{}, Runs: 2, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	phases := map[string]int{}
+	for _, e := range sink.Events() {
+		if e.Name == "run" || e.Name == "pool" {
+			continue
+		}
+		phases[e.Name]++
+		if e.Trace != root.TraceID() {
+			t.Errorf("%s event outside the trace: %+v", e.Name, e)
+		}
+	}
+	if phases["encode"] != 1 || phases["anneal"] != 1 || phases["decode"] != 1 {
+		t.Errorf("traced phase events = %v, want one encode, anneal and decode", phases)
 	}
 }

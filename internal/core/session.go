@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -24,8 +23,9 @@ const (
 // problem merged. The partitioned strategies (incremental and parallel)
 // emit one Incumbent per partial problem (their "merge" trace events carry
 // exactly this data); every strategy additionally emits one final
-// Incumbent when the solve completes. Because the incumbent covers only the queries merged so far,
-// its Cost grows with Merged — the trajectory tracks coverage, not descent.
+// Incumbent when the solve completes. Because the incumbent covers only the
+// queries merged so far, its Cost grows with Merged — the trajectory tracks
+// coverage, not descent.
 type Incumbent struct {
 	// Sub is the index of the partial problem that just merged, or -1
 	// when the point is not tied to one (final points, unpartitioned
@@ -62,10 +62,11 @@ type Incumbent struct {
 // Cancelling the Start context cancels the solve (devices return their
 // best-so-far samples, per the solver cancellation contract).
 //
-// Determinism: a Session observes the solve through an obs callback sink
-// and never feeds back into it, so its Outcome is bit-identical to calling
-// the corresponding Solve* function directly with the same problem,
-// options and seed — pinned by TestSessionMatchesSolveIncremental.
+// Determinism: a Session observes the solve through a merge hook of the
+// wave executor and never feeds back into it, so its Outcome is
+// bit-identical to calling the corresponding Solve* function directly with
+// the same problem, options and seed — pinned by
+// TestSessionMatchesSolveIncremental.
 type Session struct {
 	// Strategy selects the processing strategy: StrategyIncremental
 	// (default), StrategyParallel or StrategyDefault. Must be set before
@@ -181,25 +182,11 @@ func (s *Session) Start(ctx context.Context) error {
 			}
 		}
 	}
+	s.opt.onMerge = func(inc Incumbent) {
+		inc.Elapsed = time.Since(s.start)
+		s.push(inc)
+	}
 	s.mu.Unlock()
-
-	// Observe the solve through a callback sink: "merge" events carry the
-	// incumbent cost after each partial-problem merge. Chaining preserves
-	// any sink the caller put on the context (traces still record).
-	cb := obs.NewCallbackSink(func(e obs.Event) {
-		if e.Name != "merge" {
-			return
-		}
-		s.push(Incumbent{
-			Sub:     subIndexFromLabel(e.Label),
-			Merged:  e.N,
-			Cost:    e.Value,
-			Elapsed: time.Since(s.start),
-		})
-	})
-	outer := obs.FromContext(ctx)
-	cb.Chain(outer)
-	runCtx := obs.NewContext(ctx, cb)
 
 	// Root the request's span tree. When the caller (serve's worker slot)
 	// already opened a span, the session continues that trace; an observed
@@ -210,11 +197,13 @@ func (s *Session) Start(ctx context.Context) error {
 	if strategy == "" {
 		strategy = StrategyIncremental
 	}
+	sink := obs.FromContext(ctx)
+	runCtx := ctx
 	var span *obs.Span
 	if obs.SpanFromContext(ctx) != nil {
-		runCtx, span = cb.StartSpan(runCtx, "session")
-	} else if outer.Enabled() {
-		runCtx, span = cb.StartTrace(runCtx, "session", obs.NewTraceID(s.opt.Seed, strategy))
+		runCtx, span = sink.StartSpan(ctx, "session")
+	} else if sink.Enabled() {
+		runCtx, span = sink.StartTrace(ctx, "session", obs.NewTraceID(s.opt.Seed, strategy))
 	}
 	span.Attr("strategy", strategy)
 
@@ -244,7 +233,7 @@ func (s *Session) Start(ctx context.Context) error {
 				span.EndWith(obs.Event{N: out.NumPartitions, Value: out.Cost})
 			}
 		}
-		if reg := outer.Metrics(); reg != nil {
+		if reg := sink.Metrics(); reg != nil {
 			reg.Histogram("latency.solve_ms").Observe(time.Since(s.start).Seconds() * 1e3)
 		}
 		close(s.incumbents)
@@ -311,11 +300,10 @@ func (s *Session) strategyFunc() (func(context.Context, *mqo.Problem, Options) (
 	}
 }
 
-// push delivers inc without ever blocking the emitting pipeline
-// goroutine: when the buffer is full the oldest point is dropped to make
-// room. Merge events are emitted from the wave executor's serial merge
-// barrier (a single goroutine), so pushes do not race each other; only the
-// consumer drains concurrently.
+// push delivers inc without ever blocking the pipeline goroutine: when the
+// buffer is full the oldest point is dropped to make room. The merge hook
+// runs on the wave executor's serial merge barrier (a single goroutine), so
+// pushes do not race each other; only the consumer drains concurrently.
 func (s *Session) push(inc Incumbent) {
 	select {
 	case s.incumbents <- inc:
@@ -330,17 +318,4 @@ func (s *Session) push(inc Incumbent) {
 	case s.incumbents <- inc:
 	default:
 	}
-}
-
-// subIndexFromLabel recovers the partial-problem index from a "subNN"
-// trace label, -1 for anything else.
-func subIndexFromLabel(label string) int {
-	if !strings.HasPrefix(label, "sub") {
-		return -1
-	}
-	n, err := strconv.Atoi(label[len("sub"):])
-	if err != nil {
-		return -1
-	}
-	return n
 }

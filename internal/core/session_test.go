@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"sort"
+	"sync/atomic"
 	"testing"
 
 	"incranneal/internal/da"
 	"incranneal/internal/obs"
+	"incranneal/internal/solver"
 	"incranneal/internal/workload"
 )
 
@@ -30,7 +33,7 @@ func sessionTestProblem(t *testing.T) (*Options, *workload.Instance) {
 }
 
 // TestSessionMatchesSolveIncremental pins the session determinism contract:
-// observing a solve through a Session (callback sink, incumbent stream)
+// observing a solve through a Session (merge hook, incumbent stream)
 // yields a bit-identical Outcome to calling SolveIncremental directly.
 func TestSessionMatchesSolveIncremental(t *testing.T) {
 	ctx := context.Background()
@@ -123,7 +126,7 @@ func TestSessionStrategies(t *testing.T) {
 				t.Errorf("outcome strategy %q, direct %q", got.Strategy, want.Strategy)
 			}
 			// Both partitioned strategies stream one incumbent per merged
-			// partial problem, then the final point.
+			// partial problem, each naming its sub, then the final point.
 			if strategy != StrategyDefault && want.NumPartitions > 1 {
 				sess := NewSession(in.Problem, *opt)
 				sess.Strategy = strategy
@@ -131,8 +134,12 @@ func TestSessionStrategies(t *testing.T) {
 					t.Fatal(err)
 				}
 				n := 0
-				for range sess.Incumbents() {
+				var subs []int
+				for inc := range sess.Incumbents() {
 					n++
+					if !inc.Final {
+						subs = append(subs, inc.Sub)
+					}
 				}
 				if _, err := sess.Wait(); err != nil {
 					t.Fatal(err)
@@ -140,30 +147,90 @@ func TestSessionStrategies(t *testing.T) {
 				if n != want.NumPartitions+1 {
 					t.Errorf("streamed %d incumbents, want %d merges + 1 final", n, want.NumPartitions)
 				}
+				sort.Ints(subs)
+				for i, sub := range subs {
+					if sub != i {
+						t.Errorf("merge incumbents name subs %v, want each of 0..%d once", subs, want.NumPartitions-1)
+						break
+					}
+				}
 			}
 		})
 	}
 }
 
 // TestSessionChainsContextSink verifies a sink already on the Start context
-// still receives the solve's trace events alongside the incumbent stream.
+// still receives the solve's trace events alongside the incumbent stream,
+// and that its merge events and the incumbents agree point for point.
 func TestSessionChainsContextSink(t *testing.T) {
 	opt, in := sessionTestProblem(t)
 	collector := obs.NewCollector(nil)
 	ctx := obs.NewContext(context.Background(), collector)
 
 	sess := NewSession(in.Problem, *opt)
-	if _, err := sess.Run(ctx); err != nil {
+	if err := sess.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
-	merges := 0
-	for _, e := range collector.Events() {
-		if e.Name == "merge" {
-			merges++
+	var incs []Incumbent
+	for inc := range sess.Incumbents() {
+		if !inc.Final {
+			incs = append(incs, inc)
 		}
 	}
-	if merges == 0 {
-		t.Error("chained collector saw no merge events")
+	if _, err := sess.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	var merges []obs.Event
+	for _, e := range collector.Events() {
+		if e.Name == "merge" {
+			merges = append(merges, e)
+		}
+	}
+	if len(merges) == 0 || len(merges) != len(incs) {
+		t.Fatalf("%d merge events, %d merge incumbents", len(merges), len(incs))
+	}
+	for i, e := range merges {
+		inc := incs[i]
+		if e.Label != subLabel(inc.Sub) || e.N != inc.Merged || e.Value != inc.Cost {
+			t.Errorf("merge %d: event {%s n=%d value=%v}, incumbent %+v", i, e.Label, e.N, e.Value, inc)
+		}
+	}
+}
+
+// sinkSpy is a device that records whether any of its solves saw an obs
+// sink on the context.
+type sinkSpy struct {
+	solver.LargeSolver
+	sawSink atomic.Bool
+}
+
+func (s *sinkSpy) Solve(ctx context.Context, req solver.Request) (*solver.Result, error) {
+	s.sawSink.CompareAndSwap(false, obs.FromContext(ctx) != nil)
+	return s.LargeSolver.Solve(ctx, req)
+}
+
+func (s *sinkSpy) SolveLarge(ctx context.Context, req solver.Request) (*solver.Result, error) {
+	s.sawSink.CompareAndSwap(false, obs.FromContext(ctx) != nil)
+	return s.LargeSolver.SolveLarge(ctx, req)
+}
+
+// TestSessionWithoutSinkRunsUnobserved pins that the incumbent stream does
+// not ride the trace bus: a session whose caller attached no sink runs its
+// solve, partitioning included, with none.
+func TestSessionWithoutSinkRunsUnobserved(t *testing.T) {
+	opt, in := sessionTestProblem(t)
+	for _, strategy := range []string{StrategyIncremental, StrategyParallel, StrategyDefault} {
+		spy := &sinkSpy{LargeSolver: opt.Device.(solver.LargeSolver)}
+		o := *opt
+		o.Device = spy
+		sess := NewSession(in.Problem, o)
+		sess.Strategy = strategy
+		if _, err := sess.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if spy.sawSink.Load() {
+			t.Errorf("%s: a device solve saw an obs sink the caller never attached", strategy)
+		}
 	}
 }
 

@@ -71,7 +71,8 @@ func TestDisabledSinkAnnealNoPerStepAllocs(t *testing.T) {
 // BenchmarkObsOverhead compares a full DA solve with the observability sink
 // disabled (the default; must match the pre-instrumentation cost recorded in
 // BENCH_kernels.json) against one tracing to a discarded JSONL stream with
-// metrics — the worst-case enabled cost (BENCH_obs.json).
+// metrics — the worst-case enabled cost. The disabled path's zero-alloc
+// contract is pinned by the TestDisabledSink* tests above.
 func BenchmarkObsOverhead(b *testing.B) {
 	m := obsBenchModel(128)
 	s := &Solver{}

@@ -10,19 +10,17 @@ import (
 )
 
 // SetupCLI builds the observability sink shared by the CLIs' flags: a JSONL
-// trace writer when tracePath is set, a metrics registry when withMetrics or
-// pprofAddr is set (published to expvar), and a pprof/expvar HTTP listener
-// when pprofAddr is set. The returned sink is nil (disabled) when no flag
-// asked for anything.
+// trace writer when tracePath is set, a metrics registry when withMetrics is
+// set, and a net/http/pprof listener when pprofAddr is set. The returned sink
+// is nil (disabled) when neither a trace nor metrics were asked for.
 //
 // flush is idempotent and safe to call both deferred and on the interrupt
 // path: it flushes the buffered trace tail to disk and prints the metrics
 // summary to stderr. prog prefixes the diagnostics ("mqobench", "mqosolve").
 func SetupCLI(prog, tracePath string, withMetrics bool, pprofAddr string) (*Sink, func(), error) {
 	var reg *Registry
-	if withMetrics || pprofAddr != "" {
+	if withMetrics {
 		reg = NewRegistry()
-		PublishExpvar(reg)
 	}
 	var sink *Sink
 	var traceFile *os.File
@@ -38,7 +36,7 @@ func SetupCLI(prog, tracePath string, withMetrics bool, pprofAddr string) (*Sink
 	}
 	if pprofAddr != "" {
 		go func() {
-			// The default mux carries the net/http/pprof and expvar handlers.
+			// The default mux carries the net/http/pprof handlers.
 			if err := http.ListenAndServe(pprofAddr, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "%s: pprof listener: %v\n", prog, err)
 			}
@@ -57,7 +55,7 @@ func SetupCLI(prog, tracePath string, withMetrics bool, pprofAddr string) (*Sink
 			traceFile.Close()
 			fmt.Fprintf(os.Stderr, "%s: trace written to %s\n", prog, tracePath)
 		}
-		if withMetrics && reg != nil {
+		if reg != nil {
 			fmt.Fprint(os.Stderr, reg.Summary())
 		}
 	}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"math"
 	"sort"
@@ -312,8 +311,8 @@ func (h *Histogram) CumulativeBuckets() []HistogramBucket {
 }
 
 // Snapshot renders the registry as a plain map, suitable for JSON encoding
-// (this is what the expvar export publishes). Histograms export their
-// count/mean/min/max.
+// (this is what mqoserve's /statsz serves). Histograms export their
+// count/mean/min/max and quantiles.
 func (r *Registry) Snapshot() map[string]any {
 	if r == nil {
 		return nil
@@ -330,8 +329,8 @@ func (r *Registry) Snapshot() map[string]any {
 	for name, h := range r.histograms {
 		s := h.Snapshot()
 		// Every field of an empty snapshot is exactly zero (never ±Inf),
-		// so the map always survives encoding/json — /statsz and the
-		// expvar export depend on it (TestEmptyHistogramExportsZeros).
+		// so the map always survives encoding/json — /statsz depends on it
+		// (TestEmptyHistogramExportsZeros).
 		out[name] = map[string]any{
 			"count": s.Count, "mean": s.Mean, "min": s.Min, "max": s.Max,
 			"p50": s.P50, "p90": s.P90, "p99": s.P99, "p999": s.P999,
@@ -377,24 +376,4 @@ func (r *Registry) Summary() string {
 		fmt.Fprintf(&sb, "%-*s  %s\n", width, l.name, l.value)
 	}
 	return sb.String()
-}
-
-// expvarOnce guards the process-wide expvar name: expvar.Publish panics on
-// duplicates, and tests may wire several sinks.
-var (
-	expvarOnce sync.Once
-	expvarReg  atomic.Pointer[Registry]
-)
-
-// PublishExpvar exposes reg under the expvar name "mqo" (served on
-// /debug/vars by the default HTTP mux, which the CLIs' -pprof flag
-// starts). Calling it again swaps the published registry; the expvar name
-// is registered once per process.
-func PublishExpvar(reg *Registry) {
-	expvarReg.Store(reg)
-	expvarOnce.Do(func() {
-		expvar.Publish("mqo", expvar.Func(func() any {
-			return expvarReg.Load().Snapshot()
-		}))
-	})
 }

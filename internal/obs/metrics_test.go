@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"strings"
 	"sync"
 	"testing"
@@ -85,35 +84,8 @@ func TestSummaryAndSnapshot(t *testing.T) {
 	}
 }
 
-func TestPublishExpvar(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("decode.valid").Add(12)
-	PublishExpvar(r)
-	v := expvar.Get("mqo")
-	if v == nil {
-		t.Fatal("expvar mqo not published")
-	}
-	var m map[string]any
-	if err := json.Unmarshal([]byte(v.String()), &m); err != nil {
-		t.Fatalf("expvar value is not JSON: %v", err)
-	}
-	if m["decode.valid"] != 12.0 {
-		t.Fatalf("expvar decode.valid = %v", m["decode.valid"])
-	}
-	// Re-publishing swaps registries instead of panicking.
-	r2 := NewRegistry()
-	r2.Counter("decode.valid").Add(5)
-	PublishExpvar(r2)
-	if err := json.Unmarshal([]byte(expvar.Get("mqo").String()), &m); err != nil {
-		t.Fatal(err)
-	}
-	if m["decode.valid"] != 5.0 {
-		t.Fatalf("swapped expvar decode.valid = %v", m["decode.valid"])
-	}
-}
-
 // TestEmptyHistogramExportsZeros is the regression test for the
-// created-but-never-observed histogram export: Snapshot and expvar used to
+// created-but-never-observed histogram export: Snapshot used to
 // leak the ±Inf min/max sentinels, which encoding/json rejects. Every
 // field must be exactly zero.
 func TestEmptyHistogramExportsZeros(t *testing.T) {

@@ -1,9 +1,16 @@
 // Package obs is the pipeline's observability substrate: span-style trace
 // events, a metrics registry and exporters (JSONL trace files, an in-memory
 // collector for programmatic analysis, a human-readable summary table and
-// expvar), threaded through the whole incremental MQO stack — the Monte-Carlo
-// kernels, the run-level worker pool, the partitioning recursion, dynamic
-// search steering and the prepared-encoding cache.
+// the Prometheus text format), threaded through the whole incremental MQO
+// stack — the Monte-Carlo kernels, the run-level worker pool, the
+// partitioning recursion, dynamic search steering and the prepared-encoding
+// cache.
+//
+// Spans are the one clock. Every pipeline phase is timed by a Phase
+// (StartPhase … End), which reads the clock once at each end and reuses that
+// single duration as the caller's PhaseTimings entry, the Dur of the phase's
+// span (or of its flat event outside a trace) and the phase's
+// latency.<phase>_ms histogram.
 //
 // Two hard contracts shape the API:
 //
@@ -12,7 +19,8 @@
 //     (RunTrace) are only allocated when a sink is present, so the
 //     instrumented-off hot paths execute the exact pre-instrumentation
 //     machine code shape: no allocations, one predictable branch.
-//     BenchmarkObsOverhead in internal/da pins this (BENCH_obs.json).
+//     TestNilSinkIsFree, TestSpanDisabledIsFree and TestPhaseDisabledIsFree
+//     here, and TestDisabledSink* in internal/da, pin this.
 //   - No determinism perturbation. Instrumentation only reads pipeline
 //     state; it never touches an RNG stream, never reorders work, and never
 //     feeds back into the optimisation. Result.Samples and Outcome.Cost are
@@ -41,12 +49,13 @@ type ConvPoint struct {
 type Event struct {
 	// T is the emission time relative to the sink's start.
 	T time.Duration
-	// Name identifies the event kind: "run" (one annealing run finished,
-	// with its convergence trajectory), "anneal", "encode", "decode",
-	// "dss", "merge", "bisect", "partition", "pool", "prepared", "solve",
-	// and the DAG scheduler's "dag" (graph built: edges, waves, density),
-	// "wave" (one topological wave solved) and "join" (one dependency edge
-	// applied its DSS adjustments at a wave boundary).
+	// Name identifies the event kind: the phases "partition", "bisect",
+	// "encode", "anneal", "decode", "dag" (graph built: edges, waves,
+	// density), "wave" (one topological wave solved) and "dss"; the points
+	// "run" (one annealing run finished, with its convergence trajectory),
+	// "merge", "join" (one dependency edge applied its DSS adjustments at a
+	// wave boundary), "pool", "degrade", "replay" and the resilience
+	// layer's "retry", "trip" and "fallback"; and the serving stack's spans.
 	Name string
 	// Device is the solver that produced the event ("da", "sa", ...).
 	Device string
@@ -105,10 +114,6 @@ type Sink struct {
 	// convergence figure collect in memory while a -trace file still
 	// records the run.
 	forward *Sink
-	// cb, when set, is invoked for every emitted event (see
-	// NewCallbackSink). It runs outside the sink mutex, on whichever
-	// goroutine emitted the event.
-	cb func(Event)
 }
 
 // NewSink returns a sink writing JSONL trace lines to w (which may be nil
@@ -122,23 +127,6 @@ func NewSink(w io.Writer, reg *Registry) *Sink {
 // programmatic analysis (Events), recording metrics into reg when non-nil.
 func NewCollector(reg *Registry) *Sink {
 	return &Sink{start: time.Now(), collect: true, reg: reg}
-}
-
-// NewCallbackSink returns a sink that invokes fn for every emitted event.
-// It is the streaming counterpart of NewCollector: instead of retaining
-// events for later analysis, each event is delivered as it happens —
-// core.Session uses it to surface the incremental phase's incumbent
-// ("merge" events) while the solve is still running.
-//
-// fn runs on whichever pipeline goroutine emitted the event (annealing
-// runs emit from worker-pool goroutines), so it must be safe for
-// concurrent use and should return quickly; slow callbacks stall the
-// emitting solve. Like every sink, a callback sink only observes — it
-// must not feed back into the optimisation, or the determinism contract
-// breaks. Chain forwards to a second sink as usual, so callers can both
-// stream and trace.
-func NewCallbackSink(fn func(Event)) *Sink {
-	return &Sink{start: time.Now(), cb: fn}
 }
 
 // Chain forwards every event emitted on s to next as well. It returns s for
@@ -166,20 +154,11 @@ func (s *Sink) Enabled() bool { return s != nil }
 func (s *Sink) since(t time.Time) time.Duration { return t.Sub(s.start) }
 
 // Metrics returns the sink's registry, or nil when disabled or trace-only.
-// A sink without its own registry (callback sinks chained in front of the
-// configured sink) answers with its forward target's registry, so metrics
-// recorded through a chain land where the operator configured them.
 func (s *Sink) Metrics() *Registry {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	reg, fwd := s.reg, s.forward
-	s.mu.Unlock()
-	if reg == nil {
-		return fwd.Metrics()
-	}
-	return reg
+	return s.reg
 }
 
 // Emit records one event, stamping its relative time when unset.
@@ -200,9 +179,6 @@ func (s *Sink) Emit(e Event) {
 	}
 	fwd := s.forward
 	s.mu.Unlock()
-	if s.cb != nil {
-		s.cb(e)
-	}
 	fwd.Emit(e)
 }
 

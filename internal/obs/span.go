@@ -193,6 +193,14 @@ func (sp *Span) End() { sp.EndWith(Event{}) }
 // serves as both the span record and the payload the pre-span trace
 // format carried (waves, anneals).
 func (sp *Span) EndWith(e Event) {
+	if sp != nil {
+		sp.end(e, time.Since(sp.start))
+	}
+}
+
+// end is EndWith with the span's duration already read, so a Phase hands
+// the span the same reading it returns to its caller.
+func (sp *Span) end(e Event, d time.Duration) {
 	if sp == nil || !sp.ended.CompareAndSwap(false, true) {
 		return
 	}
@@ -204,7 +212,7 @@ func (sp *Span) EndWith(e Event) {
 	}
 	e.Trace, e.Span, e.Parent = sp.trace, sp.id, sp.parent
 	e.T = sp.sink.since(sp.start)
-	e.Dur = time.Since(sp.start)
+	e.Dur = d
 	e.Attrs = sp.attrs
 	sp.sink.Emit(e)
 }
@@ -220,4 +228,89 @@ func (s *Sink) EmitCtx(ctx context.Context, e Event) {
 		e.Trace, e.Parent = sp.trace, sp.id
 	}
 	s.Emit(e)
+}
+
+// Phase times one pipeline phase (partition, bisect, encode, anneal,
+// decode, dag, wave, dss) with exactly two clock readings, and that one
+// duration is every record of the phase: End returns it for the caller's
+// PhaseTimings, stamps it as the Dur of the phase's span (or, outside a
+// trace, of the flat event named after the phase) and observes it as the
+// latency.<name>_ms histogram when the sink has a registry. On a nil sink
+// a Phase only reads the clock and allocates nothing.
+type Phase struct {
+	sink  *Sink
+	span  *Span
+	name  string
+	label string
+	start time.Time
+}
+
+// StartPhase opens phase name under ctx: a child span when ctx carries one
+// (returned in the context, so the phase's work nests below it), a flat
+// event otherwise. Sibling phases get span ids by start order, as with
+// StartSpan.
+func StartPhase(ctx context.Context, name string) (context.Context, Phase) {
+	s := FromContext(ctx)
+	ctx, sp := s.StartSpan(ctx, name)
+	return ctx, s.phase(ctx, sp, name)
+}
+
+// StartPhaseIndexed is StartPhase with the span id derived from idx, for
+// phases whose siblings are numbered (the executor's waves).
+func StartPhaseIndexed(ctx context.Context, name string, idx int) (context.Context, Phase) {
+	s := FromContext(ctx)
+	ctx, sp := s.StartSpanIndexed(ctx, name, idx)
+	return ctx, s.phase(ctx, sp, name)
+}
+
+func (s *Sink) phase(ctx context.Context, sp *Span, name string) Phase {
+	if sp != nil {
+		return Phase{sink: s, span: sp, name: name, start: sp.start}
+	}
+	ph := Phase{sink: s, name: name, start: time.Now()}
+	if s != nil {
+		ph.label = LabelFromContext(ctx)
+	}
+	return ph
+}
+
+// Attr attaches a key/value pair to the phase's span (a no-op outside a
+// trace), returned for chaining.
+func (ph Phase) Attr(key, value string) Phase {
+	ph.span.Attr(key, value)
+	return ph
+}
+
+// End closes the phase, merging e's payload into its record, and returns
+// the phase's duration. e.Name and e.Label default to the phase's.
+func (ph Phase) End(e Event) time.Duration {
+	d := time.Since(ph.start)
+	if ph.sink == nil {
+		return d
+	}
+	if ph.span != nil {
+		ph.span.end(e, d)
+	} else {
+		if e.Name == "" {
+			e.Name = ph.name
+		}
+		if e.Label == "" {
+			e.Label = ph.label
+		}
+		e.Dur = d
+		ph.sink.Emit(e)
+	}
+	if reg := ph.sink.Metrics(); reg != nil {
+		reg.Histogram("latency." + ph.name + "_ms").Observe(d.Seconds() * 1e3)
+	}
+	return d
+}
+
+// Fail closes a phase that did not complete and returns its duration. Its
+// span, if any, ends with an "error" attribute carrying reason; a failed
+// phase is neither a flat event nor a latency sample.
+func (ph Phase) Fail(reason string) time.Duration {
+	d := time.Since(ph.start)
+	ph.span.Attr("error", reason).end(Event{}, d)
+	return d
 }

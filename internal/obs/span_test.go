@@ -30,6 +30,59 @@ func TestSpanDisabledIsFree(t *testing.T) {
 	}
 }
 
+func TestPhaseDisabledIsFree(t *testing.T) {
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(100, func() {
+		ctx2, ph := StartPhase(ctx, "anneal")
+		if ctx2 != ctx {
+			t.Error("disabled StartPhase changed the context")
+		}
+		ph.Attr("k", "v").End(Event{N: 1})
+		_, ph = StartPhaseIndexed(ctx, "wave", 3)
+		ph.Fail("device")
+	})
+	if allocs != 0 {
+		t.Fatalf("disabled phase path allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestPhaseRecordsOneDuration pins the single clock: the duration End
+// returns is the flat event's Dur outside a trace and the span's Dur inside
+// one, and each completed phase is one latency sample; a failed phase only
+// closes its span, with the error attribute.
+func TestPhaseRecordsOneDuration(t *testing.T) {
+	reg := NewRegistry()
+	s := NewCollector(reg)
+	ctx := NewContext(context.Background(), s)
+	_, flat := StartPhase(WithLabel(ctx, "sub02"), "encode")
+	dFlat := flat.End(Event{N: 2})
+	tctx, root := s.StartTrace(ctx, "request", 3)
+	_, traced := StartPhase(tctx, "encode")
+	dSpan := traced.End(Event{N: 2})
+	_, failed := StartPhase(tctx, "anneal")
+	failed.Fail("device")
+	root.End()
+	evs := s.Events()
+	if len(evs) != 4 {
+		t.Fatalf("events = %d, want flat encode, encode span, anneal span, root", len(evs))
+	}
+	if e := evs[0]; e.Name != "encode" || e.Label != "sub02" || e.Dur != dFlat || e.N != 2 || e.Span != 0 {
+		t.Errorf("flat phase event = %+v, want Dur %v", e, dFlat)
+	}
+	if e := evs[1]; e.Name != "encode" || e.Dur != dSpan || e.Span == 0 || e.Parent != root.ID() {
+		t.Errorf("phase span = %+v, want Dur %v under the root", e, dSpan)
+	}
+	if e := evs[2]; e.Name != "anneal" || len(e.Attrs) != 1 || e.Attrs[0] != (Attr{"error", "device"}) {
+		t.Errorf("failed phase span = %+v", e)
+	}
+	if n := reg.Histogram("latency.encode_ms").Snapshot().Count; n != 2 {
+		t.Errorf("latency.encode_ms count = %d, want 2", n)
+	}
+	if n := reg.Histogram("latency.anneal_ms").Snapshot().Count; n != 0 {
+		t.Errorf("failed phase observed latency.anneal_ms %d times", n)
+	}
+}
+
 // StartSpan without a parent span in context is a no-op even on an enabled
 // sink: spans only exist inside a trace.
 func TestStartSpanWithoutParentIsNoop(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"incranneal/internal/encoding"
 	"incranneal/internal/mqo"
@@ -98,13 +97,12 @@ func Partition(ctx context.Context, p *mqo.Problem, opt Options) (*Result, error
 	if opt.Capacity <= 0 {
 		return nil, fmt.Errorf("partition: capacity must be positive, got %d", opt.Capacity)
 	}
-	start := time.Now()
 	g := BuildGraph(p)
 	all := make([]int, p.NumQueries())
 	for i := range all {
 		all[i] = i
 	}
-	return refit(ctx, g, p, [][]int{all}, opt, start)
+	return refit(ctx, g, p, [][]int{all}, opt)
 }
 
 // Refit re-validates an existing partitioning of p — typically the
@@ -124,7 +122,6 @@ func Refit(ctx context.Context, p *mqo.Problem, querySets [][]int, opt Options) 
 	if opt.Capacity <= 0 {
 		return nil, fmt.Errorf("partition: capacity must be positive, got %d", opt.Capacity)
 	}
-	start := time.Now()
 	seen := make([]bool, p.NumQueries())
 	count := 0
 	initial := make([][]int, len(querySets))
@@ -144,15 +141,14 @@ func Refit(ctx context.Context, p *mqo.Problem, querySets [][]int, opt Options) 
 	if count != p.NumQueries() {
 		return nil, fmt.Errorf("partition: refit covers %d of %d queries", count, p.NumQueries())
 	}
-	return refit(ctx, BuildGraph(p), p, initial, opt, start)
+	return refit(ctx, BuildGraph(p), p, initial, opt)
 }
 
 // refit is the shared partitioning core: recursively bisect every initial
 // query set that exceeds the capacity, then sort, extract and account the
 // conforming sets. Partition passes the all-queries set; Refit passes a
 // previous partitioning.
-func refit(ctx context.Context, g *Graph, p *mqo.Problem, initial [][]int, opt Options, start time.Time) (*Result, error) {
-	sink := obs.FromContext(ctx)
+func refit(ctx context.Context, g *Graph, p *mqo.Problem, initial [][]int, opt Options) (*Result, error) {
 	res := &Result{}
 	seed := opt.Seed
 	var recurse func(queries []int) error
@@ -162,17 +158,16 @@ func refit(ctx context.Context, g *Graph, p *mqo.Problem, initial [][]int, opt O
 			return nil
 		}
 		seed++
-		t0 := time.Now()
-		part1, part2, degraded, err := bisect(ctx, g, queries, opt, seed)
+		bctx, ph := obs.StartPhase(ctx, "bisect")
+		part1, part2, degraded, err := bisect(bctx, g, queries, opt, seed)
 		if err != nil {
+			ph.Fail("bisect")
 			return err
 		}
+		ph.End(obs.Event{N: len(queries)})
 		res.Bisections++
 		if degraded {
 			res.DegradedBisections++
-		}
-		if sink.Enabled() {
-			sink.Emit(obs.Event{Name: "bisect", Dur: time.Since(t0), N: len(queries)})
 		}
 		if err := recurse(part1); err != nil {
 			return err
@@ -209,16 +204,10 @@ func refit(ctx context.Context, g *Graph, p *mqo.Problem, initial [][]int, opt O
 		total += sp.DiscardedMagnitude()
 	}
 	res.DiscardedSavings = total / 2
-	if sink.Enabled() {
-		sink.Emit(obs.Event{
-			Name: "partition", Dur: time.Since(start),
-			N: len(res.SubProblems), Value: res.DiscardedSavings, Extra: float64(res.Bisections),
-		})
-		if reg := sink.Metrics(); reg != nil {
-			reg.Gauge("partition.subproblems").Set(float64(len(res.SubProblems)))
-			reg.Counter("partition.bisections").Add(float64(res.Bisections))
-			reg.Counter("partition.discarded").Add(res.DiscardedSavings)
-		}
+	if reg := obs.FromContext(ctx).Metrics(); reg != nil {
+		reg.Gauge("partition.subproblems").Set(float64(len(res.SubProblems)))
+		reg.Counter("partition.bisections").Add(float64(res.Bisections))
+		reg.Counter("partition.discarded").Add(res.DiscardedSavings)
 	}
 	return res, nil
 }

@@ -467,7 +467,6 @@ func (s *Server) worker(slot int) {
 			continue
 		}
 		if quarantined := s.runJob(slot, stacks, j); quarantined {
-			reg.Counter("serve.worker.quarantined").Add(1)
 			s.workers.Add(1)
 			go s.worker(slot)
 			return
@@ -604,6 +603,9 @@ func (s *Server) runJob(slot int, stacks map[string]solver.Solver, j *job) (quar
 						grace.Stop()
 					case <-grace.C:
 						wspan.Attr("watchdog", "quarantined").End()
+						// Count before answering, so a client that reads the
+						// metrics after its 504 sees the quarantine.
+						reg.Counter("serve.worker.quarantined").Add(1)
 						j.result <- jobResult{err: fmt.Errorf(
 							"serve: solve overran its deadline by %.1fx and ignored cancellation; worker slot %d quarantined",
 							f, slot)}

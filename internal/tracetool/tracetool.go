@@ -74,7 +74,7 @@ func Parse(r io.Reader) ([]Event, error) {
 }
 
 // Node is one span of a reconstructed tree, with its child spans and the
-// point events (merge, dss, join, decode, degrade, ...) parented on it.
+// point events (merge, join, degrade, ...) parented on it.
 type Node struct {
 	Event
 	Children []*Node
