@@ -218,57 +218,100 @@ func (s *Solver) anneal(ctx context.Context, m *qubo.Model, prm runParams, st *q
 	var best qubo.BestTracker
 	best.Observe(st)
 	rt.Observe(0, best.Energy())
-	offset := 0.0
+	last := len(prm.temps) - 1
+	var c chain
+	if !s.SingleFlip {
+		c = newChain(st, rng)
+		c.collect(prm.temps[0])
+	}
 	performed := 0
 	var flips int64
 	checkEvery := 256
-	for step := 0; step < len(prm.temps); step++ {
+	for step := 0; step <= last; step++ {
 		if step%checkEvery == 0 {
 			if solver.Interrupted(ctx) || (!deadline.IsZero() && time.Now().After(deadline)) {
 				break
 			}
 		}
-		temp := prm.temps[step]
+		performed++
+		var flipped bool
 		if s.SingleFlip {
 			// Ablation: conventional SA step — one uniformly chosen
 			// variable per step, Metropolis acceptance.
 			v := rng.Intn(n)
-			delta := st.DeltaEnergy(v)
-			if delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
+			if delta := st.DeltaEnergy(v); delta <= 0 || rng.Float64() < math.Exp(-delta/prm.temps[step]) {
 				st.Flip(v)
-				flips++
+				flipped = true
 			}
-			performed++
-			if best.Observe(st) {
-				rt.Observe(step, best.Energy())
-			}
+		} else {
+			// The last step readies a step that never runs; its draw
+			// comes from this run's own stream, which ends here.
+			flipped = s.parallelTrialStep(&c, prm.temps[min(step+1, last)], prm.offUnit)
+		}
+		if !flipped {
 			continue
 		}
-		// Parallel trial: acceptance test rand < exp(−(ΔE−offset)/T) is
-		// equivalent to ΔE < offset − T·ln(rand). Drawing one shared rand
-		// per step yields the same per-variable marginal acceptance
-		// probability while letting the scan run as two tight passes over
-		// the state's flat delta array: count candidates below the
-		// threshold, then pick one uniformly.
-		theta := offset + temp*expVariate(rng)
-		accepted := st.CountBelow(theta)
-		if accepted == 0 {
-			if !s.DisableDynamicOffset {
-				offset += prm.offUnit
-			}
-			performed++
-			continue
-		}
-		st.Flip(st.PickKthBelow(theta, rng.Intn(accepted)))
 		flips++
-		offset = 0
-		performed++
 		if best.Observe(st) {
 			rt.Observe(step, best.Energy())
 		}
 	}
 	rt.Finish(performed, flips, int64(performed))
 	return solver.Sample{Assignment: best.Assignment(), Energy: best.Energy()}, performed
+}
+
+// chain is one Markov chain of the parallel-trial step: its state and RNG
+// stream, the dynamic offset, and the pending step's Exp(1) threshold
+// variate with the candidates below that threshold.
+type chain struct {
+	st     *qubo.State
+	rng    *rand.Rand
+	offset float64
+	exp    float64
+	cand   []int32
+	count  int
+}
+
+// newChain starts a chain on st, drawing the first step's variate.
+func newChain(st *qubo.State, rng *rand.Rand) chain {
+	return chain{st: st, rng: rng, exp: expVariate(rng), cand: make([]int32, st.Model().NumVariables())}
+}
+
+// collect gathers the pending step's candidates at temperature temp with a
+// full pass over the deltas. A chain needs it before its first step and
+// whenever its state or offset was changed outside parallelTrialStep.
+func (c *chain) collect(temp float64) {
+	c.count = c.st.CollectBelow(c.offset+temp*c.exp, c.cand)
+}
+
+// parallelTrialStep performs the chain's pending Digital Annealer
+// Monte-Carlo step and readies the next one at temperature next; annealing
+// and tempering share this exact hardware step. It reports whether a flip
+// was performed.
+//
+// The acceptance test rand < exp(−(ΔE−offset)/T) is equivalent to
+// ΔE < offset − T·ln(rand). One shared rand per step gives the same
+// per-variable marginal acceptance probability as independent draws, so
+// the accepted candidates are the variables whose delta is below
+// θ = offset + T·Exp(1), and the step flips one of them chosen uniformly.
+// Drawing the next step's variate right after this step's choice keeps the
+// RNG sequence of a step-at-a-time loop (Exp, Intn, Exp, …) while letting
+// the flip collect the next step's candidates in the same pass over the
+// deltas. A rejected step raises the offset and collects afresh.
+func (s *Solver) parallelTrialStep(c *chain, next, offUnit float64) bool {
+	if c.count == 0 {
+		if !s.DisableDynamicOffset {
+			c.offset += offUnit
+		}
+		c.exp = expVariate(c.rng)
+		c.collect(next)
+		return false
+	}
+	i := int(c.cand[c.rng.Intn(c.count)])
+	c.offset = 0
+	c.exp = expVariate(c.rng)
+	c.count = c.st.FlipCollect(i, c.offset+next*c.exp, c.cand)
+	return true
 }
 
 // temperatureRange derives the exponential schedule endpoints from the

@@ -3,10 +3,12 @@ package da
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"incranneal/internal/encoding"
 	"incranneal/internal/mqo"
+	"incranneal/internal/obs"
 	"incranneal/internal/qubo"
 	"incranneal/internal/solver"
 )
@@ -122,6 +124,40 @@ func TestSampleEnergyMatchesAssignment(t *testing.T) {
 		if got := enc.Model.Energy(smp.Assignment); math.Abs(got-smp.Energy) > 1e-9 {
 			t.Errorf("reported energy %v, recomputed %v", smp.Energy, got)
 		}
+	}
+}
+
+// TestSolveLargeHonoursParallelism pins that the block solves inherit the
+// request's worker budget: a sequential request must not fan its block
+// solves out to GOMAXPROCS workers.
+func TestSolveLargeHonoursParallelism(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		prev := runtime.GOMAXPROCS(2)
+		defer runtime.GOMAXPROCS(prev)
+	}
+	enc, err := encoding.EncodeMQO(mqo.PaperExample())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := obs.NewCollector(nil)
+	ctx := obs.NewContext(context.Background(), sink)
+	s := &Solver{CapacityVars: 4}
+	req := solver.Request{Model: enc.Model, Runs: 4, Sweeps: 1500, Seed: 4, Parallelism: -1}
+	if _, err := s.SolveLarge(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	pools := 0
+	for _, e := range sink.Events() {
+		if e.Name != "pool" {
+			continue
+		}
+		pools++
+		if e.Run != 1 {
+			t.Errorf("block solve ran on %d workers, want 1 for Parallelism -1", e.Run)
+		}
+	}
+	if pools == 0 {
+		t.Fatal("traced SolveLarge emitted no pool events")
 	}
 }
 

@@ -67,7 +67,7 @@ func (s *Solver) SolveLarge(ctx context.Context, req solver.Request) (*solver.Re
 			if err != nil {
 				return nil, err
 			}
-			subReq := solver.Request{Model: sub, Runs: req.Runs, Sweeps: perBlock, Seed: rng.Int63()}
+			subReq := solver.Request{Model: sub, Runs: req.Runs, Sweeps: perBlock, Seed: rng.Int63(), Parallelism: req.Parallelism}
 			subRes, err := s.Solve(ctx, subReq)
 			if err != nil {
 				return nil, err

@@ -117,8 +117,8 @@ func TestSolvePTDeterministicAcrossParallelism(t *testing.T) {
 }
 
 // BenchmarkKernelDAStep measures one parallel-trial Monte-Carlo step — the
-// threshold draw plus the two delta-array scans — at a partition-sized
-// variable count.
+// candidate pick, the next threshold draw and the one pass over the delta
+// array that flips and collects — at a partition-sized variable count.
 func BenchmarkKernelDAStep(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	bld := qubo.NewBuilder(512)
@@ -133,13 +133,13 @@ func BenchmarkKernelDAStep(b *testing.B) {
 	}
 	m := bld.Build()
 	s := &Solver{}
-	st := qubo.NewRandomState(m, rng)
 	hot, cold := temperatureRange(m)
 	temp := math.Sqrt(hot * cold)
 	offUnit := meanAbsCoefficient(m)
-	offset := 0.0
+	c := newChain(qubo.NewRandomState(m, rng), rng)
+	c.collect(temp)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.parallelTrialStep(st, temp, &offset, offUnit, rng)
+		s.parallelTrialStep(&c, temp, offUnit)
 	}
 }

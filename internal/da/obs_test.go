@@ -35,13 +35,13 @@ func TestDisabledSinkStepNoAllocs(t *testing.T) {
 	m := obsBenchModel(256)
 	s := &Solver{}
 	rng := rand.New(rand.NewSource(7))
-	st := qubo.NewRandomState(m, rng)
 	hot, cold := temperatureRange(m)
 	temp := math.Sqrt(hot * cold)
 	offUnit := meanAbsCoefficient(m)
-	offset := 0.0
+	c := newChain(qubo.NewRandomState(m, rng), rng)
+	c.collect(temp)
 	allocs := testing.AllocsPerRun(200, func() {
-		s.parallelTrialStep(st, temp, &offset, offUnit, rng)
+		s.parallelTrialStep(&c, temp, offUnit)
 	})
 	if allocs != 0 {
 		t.Errorf("kernel step allocates %.1f objects/op with tracing disabled, want 0", allocs)
@@ -70,9 +70,9 @@ func TestDisabledSinkAnnealNoPerStepAllocs(t *testing.T) {
 
 // BenchmarkObsOverhead compares a full DA solve with the observability sink
 // disabled (the default; must match the pre-instrumentation cost recorded in
-// BENCH_kernels.json) against one tracing to a discarded JSONL stream with
-// metrics — the worst-case enabled cost. The disabled path's zero-alloc
-// contract is pinned by the TestDisabledSink* tests above.
+// the EXPERIMENTS.md kernel history) against one tracing to a discarded
+// JSONL stream with metrics — the worst-case enabled cost. The disabled
+// path's zero-alloc contract is pinned by the TestDisabledSink* tests above.
 func BenchmarkObsOverhead(b *testing.B) {
 	m := obsBenchModel(128)
 	s := &Solver{}

@@ -60,11 +60,13 @@ func (s *Solver) SolvePT(ctx context.Context, req solver.Request) (*solver.Resul
 		frac := float64(i) / float64(maxIntPT(replicas-1, 1))
 		temps[i] = tCold * math.Pow(tHot/tCold, frac)
 	}
-	states := make([]*qubo.State, replicas)
-	rngs := make([]*rand.Rand, replicas)
-	for i := range states {
-		states[i] = solver.InitialState(req, i, replicas, rng)
-		rngs[i] = rand.New(rand.NewSource(rng.Int63()))
+	// One chain per ladder slot. Its RNG stream and pending threshold
+	// variate stay with the slot; exchanges move states and offsets
+	// between slots.
+	chains := make([]chain, replicas)
+	for i := range chains {
+		st := solver.InitialState(req, i, replicas, rng)
+		chains[i] = newChain(st, rand.New(rand.NewSource(rng.Int63())))
 	}
 	// Per-slot best trackers: replicas interact only at exchange barriers,
 	// so between exchanges every ladder slot advances independently on the
@@ -72,10 +74,9 @@ func (s *Solver) SolvePT(ctx context.Context, req solver.Request) (*solver.Resul
 	// sequential schedule for every worker count. The global best is the
 	// minimum over all slot observations, taken at the end.
 	trackers := make([]qubo.BestTracker, replicas)
-	for i, st := range states {
-		trackers[i].Observe(st)
+	for i := range chains {
+		trackers[i].Observe(chains[i].st)
 	}
-	offsets := make([]float64, replicas)
 	offUnit := meanAbsCoefficient(m)
 	if offUnit == 0 {
 		offUnit = 1
@@ -111,12 +112,15 @@ func (s *Solver) SolvePT(ctx context.Context, req solver.Request) (*solver.Resul
 			segment = rest
 		}
 		body := func(i int) {
-			st := states[i]
+			// An exchange may have replaced the slot's state and offset, so
+			// every segment starts with a fresh candidate pass.
+			c := &chains[i]
+			c.collect(temps[i])
 			for k := 0; k < segment; k++ {
-				if s.parallelTrialStep(st, temps[i], &offsets[i], offUnit, rngs[i]) && flipCounts != nil {
+				if s.parallelTrialStep(c, temps[i], offUnit) && flipCounts != nil {
 					flipCounts[i]++
 				}
-				trackers[i].Observe(st)
+				trackers[i].Observe(c.st)
 			}
 		}
 		if rt != nil {
@@ -138,10 +142,11 @@ func (s *Solver) SolvePT(ctx context.Context, req solver.Request) (*solver.Resul
 		// segment (if any) does not, matching the per-step schedule.
 		if segment == exchangeEvery {
 			for i := 0; i+1 < replicas; i++ {
-				delta := (1/temps[i] - 1/temps[i+1]) * (states[i].Energy() - states[i+1].Energy())
+				a, b := &chains[i], &chains[i+1]
+				delta := (1/temps[i] - 1/temps[i+1]) * (a.st.Energy() - b.st.Energy())
 				if delta >= 0 || rng.Float64() < math.Exp(delta) {
-					states[i], states[i+1] = states[i+1], states[i]
-					offsets[i], offsets[i+1] = offsets[i+1], offsets[i]
+					a.st, b.st = b.st, a.st
+					a.offset, b.offset = b.offset, a.offset
 				}
 			}
 		}
@@ -162,32 +167,14 @@ func (s *Solver) SolvePT(ctx context.Context, req solver.Request) (*solver.Resul
 	}
 	res := &solver.Result{Sweeps: performed * replicas, Elapsed: time.Since(start)}
 	res.Samples = append(res.Samples, solver.Sample{Assignment: trackers[bestIdx].Assignment(), Energy: trackers[bestIdx].Energy()})
-	for _, st := range states {
-		res.Samples = append(res.Samples, solver.Sample{Assignment: st.Assignment(), Energy: st.Energy()})
+	for _, c := range chains {
+		res.Samples = append(res.Samples, solver.Sample{Assignment: c.st.Assignment(), Energy: c.st.Energy()})
 	}
 	res.SortSamples()
 	if runs := req.Runs; runs > 0 && runs < len(res.Samples) {
 		res.Samples = res.Samples[:runs]
 	}
 	return res, nil
-}
-
-// parallelTrialStep performs one Digital Annealer Monte-Carlo step on st at
-// the given temperature: the shared-random threshold scan of Solve.anneal,
-// factored out so annealing and tempering share the exact hardware step.
-// It reports whether a flip was performed.
-func (s *Solver) parallelTrialStep(st *qubo.State, temp float64, offset *float64, offUnit float64, rng *rand.Rand) bool {
-	theta := *offset + temp*expVariate(rng)
-	accepted := st.CountBelow(theta)
-	if accepted == 0 {
-		if !s.DisableDynamicOffset {
-			*offset += offUnit
-		}
-		return false
-	}
-	st.Flip(st.PickKthBelow(theta, rng.Intn(accepted)))
-	*offset = 0
-	return true
 }
 
 func maxIntPT(a, b int) int {

@@ -2,18 +2,59 @@ package qubo
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
 // Kernel micro-benchmarks: the inner-loop primitives every annealing
-// simulator is built from. CI runs these with -bench=BenchmarkKernel
-// -benchtime=1x as a smoke test; BENCH_kernels.json records full runs.
+// simulator is built from. CI runs every benchmark once as a smoke test;
+// EXPERIMENTS.md ("Kernel micro-benchmarks") keeps the recorded full runs.
 
 func benchKernelState(b *testing.B) *State {
 	b.Helper()
 	rng := rand.New(rand.NewSource(42))
 	m := randomModel(rng, 512, 0.05)
 	return NewRandomState(m, rng)
+}
+
+// benchBisection returns a random state of a 256-node graph-bisection
+// QUBO, (Σ ω_i s_i)² + Σ_e ω_e(1−s_u s_v)/2 with the Theorem 4.5 multiplier,
+// whose balance term makes every row dense, and a threshold admitting 90%
+// of the variables: the acceptance rate of the partitioning phase's late
+// anneal steps.
+func benchBisection(b *testing.B) (*State, float64) {
+	b.Helper()
+	const n = 256
+	rng := rand.New(rand.NewSource(42))
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = float64(1 + rng.Intn(6))
+	}
+	is := NewIsing(n)
+	incident := make([]float64, n)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if rng.Float64() < 0.05 {
+				e := 1 + 9*rng.Float64()
+				is.AddCoupling(u, v, -e/2)
+				incident[u] += e
+				incident[v] += e
+			}
+		}
+	}
+	lagrange := 0.0
+	for _, s := range incident {
+		lagrange = max(lagrange, s)
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			is.AddCoupling(i, j, 2*lagrange*w[i]*w[j])
+		}
+	}
+	st := NewRandomState(is.ToQUBO(), rng)
+	sorted := append([]float64(nil), st.Deltas()...)
+	sort.Float64s(sorted)
+	return st, sorted[n*9/10]
 }
 
 // BenchmarkKernelFlip measures the O(degree) incremental flip including
@@ -27,27 +68,31 @@ func BenchmarkKernelFlip(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelCountBelow measures the candidate-count pass of the DA's
-// parallel trial step: one tight scan over the flat delta array.
-func BenchmarkKernelCountBelow(b *testing.B) {
-	st := benchKernelState(b)
+// BenchmarkKernelCollectBelow measures the candidate pass of the DA's
+// parallel trial step that follows a rejected step: one tight scan over the
+// flat delta array.
+func BenchmarkKernelCollectBelow(b *testing.B) {
+	st, theta := benchBisection(b)
+	buf := make([]int32, st.Model().NumVariables())
 	b.ResetTimer()
 	acc := 0
 	for i := 0; i < b.N; i++ {
-		acc += st.CountBelow(float64(i%7) - 3)
+		acc += st.CollectBelow(theta, buf)
 	}
 	_ = acc
 }
 
-// BenchmarkKernelPickKthBelow measures the candidate-select pass.
-func BenchmarkKernelPickKthBelow(b *testing.B) {
-	st := benchKernelState(b)
-	k := st.CountBelow(0) / 2
-	if k == 0 {
-		k = 1
-	}
+// BenchmarkKernelFlipCollect measures the accepted step's fused pass on a
+// dense bisection row: the flip's delta updates and the next step's
+// candidate collection in one loop.
+func BenchmarkKernelFlipCollect(b *testing.B) {
+	st, theta := benchBisection(b)
+	n := st.Model().NumVariables()
+	buf := make([]int32, n)
 	b.ResetTimer()
+	acc := 0
 	for i := 0; i < b.N; i++ {
-		st.PickKthBelow(0, k)
+		acc += st.FlipCollect(i%n, theta, buf)
 	}
+	_ = acc
 }

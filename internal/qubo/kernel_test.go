@@ -3,7 +3,9 @@ package qubo
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"testing/quick"
 )
 
 // TestDeltaArrayMatchesBruteForce drives a state through random flips and
@@ -38,36 +40,104 @@ func TestDeltaArrayMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestCountBelowAndPickKthBelow checks the scan pair against the naive
-// per-variable loop they replace.
-func TestCountBelowAndPickKthBelow(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	m := randomModel(rng, 32, 0.4)
-	st := NewRandomState(m, rng)
-	for trial := 0; trial < 50; trial++ {
-		st.Flip(rng.Intn(m.NumVariables()))
-		theta := rng.NormFloat64() * 20
-		want := 0
-		for v := 0; v < m.NumVariables(); v++ {
-			if st.DeltaEnergy(v) < theta {
-				want++
-			}
+// belowNaive is the per-variable reference scan the candidate kernels
+// replace: every variable whose flip delta is strictly below theta.
+func belowNaive(st *State, theta float64) []int32 {
+	var out []int32
+	for v := 0; v < st.Model().NumVariables(); v++ {
+		if st.DeltaEnergy(v) < theta {
+			out = append(out, int32(v))
 		}
-		if got := st.CountBelow(theta); got != want {
-			t.Fatalf("CountBelow(%v) = %d, want %d", theta, got, want)
+	}
+	return out
+}
+
+type namedModel struct {
+	name string
+	m    *Model
+}
+
+// kernelModels returns the row shapes the candidate kernels distinguish:
+// a dense model from both constructors, a dense model missing one coupling
+// (two sparse rows among dense ones) and a sparse model.
+func kernelModels(rng *rand.Rand, n int) []namedModel {
+	dense := randomModel(rng, n, 1)
+	linear := make([]float64, n)
+	for i := range linear {
+		linear[i] = dense.Linear(i)
+	}
+	a, b := rng.Intn(n), rng.Intn(n-1)
+	if b >= a {
+		b++
+	}
+	holed := NewBuilder(n)
+	for i := range linear {
+		holed.AddLinear(i, linear[i])
+	}
+	for _, t := range dense.Terms() {
+		if (t.I != a || t.J != b) && (t.I != b || t.J != a) {
+			holed.AddQuadratic(t.I, t.J, t.Coeff)
 		}
-		seen := 0
-		for v := 0; v < m.NumVariables(); v++ {
-			if st.DeltaEnergy(v) < theta {
-				if got := st.PickKthBelow(theta, seen); got != v {
-					t.Fatalf("PickKthBelow(%v, %d) = %d, want %d", theta, seen, got, v)
+	}
+	return []namedModel{
+		{"dense", dense},
+		{"dense-sorted", NewModelFromSortedTerms(linear, append([]Term(nil), dense.Terms()...))},
+		{"dense-holed", holed.Build()},
+		{"sparse", randomModel(rng, n, 0.3)},
+	}
+}
+
+// pickTheta returns either a random threshold or one exactly equal to a
+// delta of st, which strict-< selection must exclude.
+func pickTheta(rng *rand.Rand, st *State) float64 {
+	if rng.Intn(2) == 0 {
+		return st.DeltaEnergy(rng.Intn(st.Model().NumVariables()))
+	}
+	return rng.NormFloat64() * 20
+}
+
+// TestCandidateKernelsMatchNaiveProperty checks the parallel-trial kernels
+// against the naive scan: CollectBelow returns exactly the strict-< list in
+// ascending order, and FlipCollect leaves x, the energy and every delta
+// bit-equal to Flip while returning the naive list of the flipped state.
+func TestCandidateKernelsMatchNaiveProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(40)
+		for _, km := range kernelModels(rng, n) {
+			fused := NewRandomState(km.m, rng)
+			ref := fused.Copy()
+			buf := make([]int32, n)
+			for step := 0; step < 30; step++ {
+				theta := pickTheta(rng, ref)
+				if got := buf[:ref.CollectBelow(theta, buf)]; !slices.Equal(got, belowNaive(ref, theta)) {
+					t.Errorf("seed %d %s: CollectBelow(%v) = %v, want %v", seed, km.name, theta, got, belowNaive(ref, theta))
+					return false
 				}
-				seen++
+				i := rng.Intn(n)
+				ref.Flip(i)
+				theta = pickTheta(rng, ref)
+				got := buf[:fused.FlipCollect(i, theta, buf)]
+				if want := belowNaive(ref, theta); !slices.Equal(got, want) {
+					t.Errorf("seed %d %s: FlipCollect(%d, %v) = %v, want %v", seed, km.name, i, theta, got, want)
+					return false
+				}
+				if math.Float64bits(fused.Energy()) != math.Float64bits(ref.Energy()) {
+					t.Errorf("seed %d %s: energy %v after FlipCollect, Flip gives %v", seed, km.name, fused.Energy(), ref.Energy())
+					return false
+				}
+				for v := 0; v < n; v++ {
+					if fused.Get(v) != ref.Get(v) || math.Float64bits(fused.DeltaEnergy(v)) != math.Float64bits(ref.DeltaEnergy(v)) {
+						t.Errorf("seed %d %s: variable %d differs after FlipCollect(%d)", seed, km.name, v, i)
+						return false
+					}
+				}
 			}
 		}
-		if got := st.PickKthBelow(theta, want); got != -1 {
-			t.Errorf("PickKthBelow past the end = %d, want -1", got)
-		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }
 

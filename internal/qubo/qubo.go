@@ -36,7 +36,9 @@ type Model struct {
 	// terms holds all quadratic terms with I < J, sorted lexicographically.
 	terms []Term
 	// adj[i] lists (neighbour, coefficient) pairs for variable i, covering
-	// every quadratic term incident to i.
+	// every quadratic term incident to i, in ascending neighbour order:
+	// both constructors append them in sorted term order. State.FlipCollect
+	// relies on that order for dense rows.
 	adj [][]neighbour
 	// adjPos[2t] and adjPos[2t+1] locate term t inside adj[terms[t].I] and
 	// adj[terms[t].J]; built lazily by Reweight so coefficient updates need

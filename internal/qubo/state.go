@@ -6,12 +6,14 @@ import "math/rand"
 // maintained flat delta array: delta[i] = (1−2x_i)·field_i where
 // field_i = c_ii + Σ_j c_ij·x_j, i.e. the energy change of flipping
 // variable i. Keeping the deltas themselves — rather than the raw local
-// fields annealing hardware stores — means the annealers' candidate scans
-// reduce to tight loops over one contiguous float64 slice (see CountBelow
-// and PickKthBelow) and the acceptance test is a single array read. A flip
-// updates the array in O(degree) with one branch-free signed addition per
-// neighbour. This is the data structure behind both the classical SA
-// baseline and the Digital Annealer simulator's parallel trial step.
+// fields annealing hardware stores — means the acceptance test is a single
+// array read and the annealers' candidate scan is a tight loop over one
+// contiguous float64 slice (CollectBelow). A flip updates the array in
+// O(degree) with one branch-free signed addition per neighbour; FlipCollect
+// also gathers the next parallel-trial step's candidates, in the same loop
+// when the flipped row is dense. This is the data structure behind both
+// the classical SA baseline and the Digital Annealer simulator's parallel
+// trial step.
 type State struct {
 	m *Model
 	x []int8
@@ -100,33 +102,22 @@ func (s *State) DeltaEnergy(i int) float64 { return s.delta[i] }
 // DeltaEnergy per variable.
 func (s *State) Deltas() []float64 { return s.delta }
 
-// CountBelow returns the number of variables whose flip delta is strictly
-// below theta — the accepted-candidate count of the Digital Annealer's
-// parallel trial step — as one tight pass over the delta array.
-func (s *State) CountBelow(theta float64) int {
+// CollectBelow writes the ascending indices of the variables whose flip
+// delta is strictly below theta into buf and returns their count: the
+// accepted candidates of the Digital Annealer's parallel trial step, in one
+// tight pass over the delta array. buf must hold NumVariables entries.
+func (s *State) CollectBelow(theta float64, buf []int32) int {
+	buf = buf[:len(s.delta)]
 	count := 0
-	for _, d := range s.delta {
+	for i, d := range s.delta {
+		// Write every index and keep it only when accepted: the loop has
+		// no data-dependent branch.
+		buf[count] = int32(i)
 		if d < theta {
 			count++
 		}
 	}
 	return count
-}
-
-// PickKthBelow returns the index of the k-th variable (0-based, ascending
-// index order) whose flip delta is strictly below theta, or -1 when fewer
-// than k+1 variables qualify. Together with CountBelow it implements the
-// two-pass candidate selection of the parallel trial step.
-func (s *State) PickKthBelow(theta float64, k int) int {
-	for i, d := range s.delta {
-		if d < theta {
-			if k == 0 {
-				return i
-			}
-			k--
-		}
-	}
-	return -1
 }
 
 // Flip toggles variable i, updating energy and neighbour deltas in
@@ -142,6 +133,54 @@ func (s *State) Flip(i int) {
 		// field_j changes by sign·c_ij; delta_j = xsign_j·field_j.
 		s.delta[nb.j] += sign * nb.coeff * s.xsign[nb.j]
 	}
+}
+
+// FlipCollect performs Flip(i) and returns CollectBelow(theta, buf) on the
+// flipped state. When i's row is dense (coupled to every other variable,
+// as in a graph-bisection QUBO) the two are one pass: each neighbour's
+// delta is collected as soon as it is updated. A sparse row flips, then
+// collects. Either way every delta and the energy end bit-equal to Flip's.
+func (s *State) FlipCollect(i int, theta float64, buf []int32) int {
+	adj := s.m.adj[i]
+	if len(adj) != len(s.delta)-1 {
+		s.Flip(i)
+		return s.CollectBelow(theta, buf)
+	}
+	d := s.delta[i]
+	sign := s.xsign[i]
+	s.x[i] ^= 1
+	s.xsign[i] = -sign
+	s.energy += d
+	// A dense row lists the neighbours 0..i−1, i+1..n−1 in order (both
+	// constructors append adjacency in sorted term order), so its halves
+	// reach the variables below and above i in ascending order, and i's
+	// own delta is collected between them.
+	count := flipRowCollect(s.delta[:i], s.xsign[:i], adj[:i], sign, theta, 0, buf, 0)
+	s.delta[i] = -d
+	buf[count] = int32(i)
+	if -d < theta {
+		count++
+	}
+	return flipRowCollect(s.delta[i+1:], s.xsign[i+1:], adj[i:], sign, theta, int32(i+1), buf, count)
+}
+
+// flipRowCollect applies a flip with the given sign to the consecutive
+// variables base, base+1, … whose deltas, signs and couplings to the
+// flipped variable are delta, xsign and row, and appends those whose new
+// delta is below theta to buf[:count]. It returns the new count.
+func flipRowCollect(delta, xsign []float64, row []neighbour, sign, theta float64, base int32, buf []int32, count int) int {
+	delta, xsign = delta[:len(row)], xsign[:len(row)]
+	for k := range row {
+		// The same float operations as Flip, so the deltas match it bit
+		// for bit.
+		dk := delta[k] + sign*row[k].coeff*xsign[k]
+		delta[k] = dk
+		buf[count] = base + int32(k)
+		if dk < theta {
+			count++
+		}
+	}
+	return count
 }
 
 // Copy returns an independent deep copy of s.
