@@ -20,6 +20,20 @@ func PostProcess(g *Graph, part1, part2 []int, numParses, minSize int) ([]int, [
 	if minSize < 1 {
 		minSize = 1
 	}
+	// row holds one query's edge weights at a time, scattered from its
+	// adjacency row and cleared after use; the conformance sums read it
+	// in set order, adding the same floats in the same order as
+	// AccumulatedSavings.
+	row := make([]float64, g.NumNodes())
+	conformance := func(query int, set []int) float64 {
+		var t float64
+		for _, other := range set {
+			if other != query {
+				t += row[other]
+			}
+		}
+		return t
+	}
 	for parse := 0; parse < numParses; parse++ {
 		moved := false
 		// Iterate over a snapshot: Algorithm 1 removes from part1 while
@@ -29,8 +43,15 @@ func PostProcess(g *Graph, part1, part2 []int, numParses, minSize int) ([]int, [
 			if len(p1) <= minSize {
 				break
 			}
-			p1Conf := g.AccumulatedSavings(query, p1)
-			p2Conf := g.AccumulatedSavings(query, p2)
+			nbr, wt := g.row(query)
+			for k, other := range nbr {
+				row[other] = wt[k]
+			}
+			p1Conf := conformance(query, p1)
+			p2Conf := conformance(query, p2)
+			for _, other := range nbr {
+				row[other] = 0
+			}
 			if p1Conf < p2Conf {
 				p1 = remove(p1, query)
 				p2 = append(p2, query)
