@@ -118,8 +118,10 @@ type Options struct {
 	// Runs is the number of annealing runs per (partial) problem; zero
 	// means 16, the paper's setting.
 	Runs int
-	// TotalSweeps is the overall annealing iteration budget divided across
-	// partitions; zero uses device defaults.
+	// TotalSweeps is the overall annealing iteration budget per run, divided
+	// across partitions. Each bisection of the partitioning phase gets the
+	// same steps per query node as the whole problem has per plan. Zero
+	// uses device defaults.
 	TotalSweeps int
 	// Seed makes the pipeline deterministic.
 	Seed int64

@@ -55,8 +55,11 @@ type Options struct {
 	// TotalSweeps is the overall annealing iteration budget. The
 	// incremental and parallel strategies divide it evenly across partial
 	// problems so that the total matches an unpartitioned solve, as in the
-	// paper's constant-budget comparisons. Zero uses device defaults per
-	// partial problem.
+	// paper's constant-budget comparisons. The partitioning phase sizes
+	// each bisection from it: an n-node bisection anneals
+	// ⌈TotalSweeps·n/NumPlans⌉ steps per run, an unpartitioned solve's
+	// steps per variable (see partition.Options.Sweeps). Zero uses device
+	// defaults per partial problem and per bisection.
 	TotalSweeps int
 	// Seed makes the full pipeline deterministic.
 	Seed int64
@@ -221,7 +224,7 @@ func (o Options) partitionOptions() partition.Options {
 		Capacity:          o.capacity(),
 		Solver:            ps,
 		Runs:              o.Runs,
-		Sweeps:            o.partitionSweeps(1, 0), // partitioning QUBOs are small; budget like one partition
+		Sweeps:            o.TotalSweeps, // the whole budget; partition sizes each bisection from it
 		Seed:              o.Seed,
 		PostProcessParses: o.PostProcessParses,
 		MinPartFraction:   o.MinPartFraction,

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"incranneal/internal/da"
 	"incranneal/internal/mqo"
+	"incranneal/internal/partition"
 	"incranneal/internal/sa"
 	"incranneal/internal/solver"
 )
@@ -230,4 +232,69 @@ func communityProblem(rng *rand.Rand, queries, ppq int) *mqo.Problem {
 		panic(err)
 	}
 	return p
+}
+
+// budgetRecorder forwards every request to inner and records its variable
+// count and sweep budget.
+type budgetRecorder struct {
+	inner solver.Solver
+	mu    sync.Mutex
+	calls [][2]int // {variables, sweeps}
+}
+
+func (b *budgetRecorder) Name() string  { return b.inner.Name() }
+func (b *budgetRecorder) Capacity() int { return b.inner.Capacity() }
+func (b *budgetRecorder) Solve(ctx context.Context, req solver.Request) (*solver.Result, error) {
+	b.mu.Lock()
+	b.calls = append(b.calls, [2]int{req.Model.NumVariables(), req.Sweeps})
+	b.mu.Unlock()
+	return b.inner.Solve(ctx, req)
+}
+
+// TestBisectionBudgetScalesWithGraph pins the partitioning budget: a
+// bisection of an n-node graph anneals ⌈TotalSweeps·n/NumPlans⌉ steps per
+// run, TotalSweeps 0 leaves every bisection at the device default, and
+// Refit's re-bisections follow the same rule.
+func TestBisectionBudgetScalesWithGraph(t *testing.T) {
+	p := cacheTestProblem(t) // 32 queries × 3 plans
+	want := func(total, n int) int {
+		if total == 0 {
+			return 0
+		}
+		return (total*n + p.NumPlans() - 1) / p.NumPlans()
+	}
+	check := func(t *testing.T, rec *budgetRecorder, total int) {
+		t.Helper()
+		if len(rec.calls) < 2 {
+			t.Fatalf("%d bisections, want at least 2", len(rec.calls))
+		}
+		for _, c := range rec.calls {
+			if c[1] != want(total, c[0]) {
+				t.Errorf("TotalSweeps %d: bisection of %d nodes got %d sweeps, want %d", total, c[0], c[1], want(total, c[0]))
+			}
+		}
+	}
+	for _, total := range []int{0, 600, 1001} {
+		rec := &budgetRecorder{inner: &da.Solver{}}
+		opt := Options{Device: &da.Solver{CapacityVars: 40}, PartitionSolver: rec, Runs: 2, TotalSweeps: total, Seed: 5}
+		if _, err := SolveIncremental(context.Background(), p, opt); err != nil {
+			t.Fatal(err)
+		}
+		check(t, rec, total)
+	}
+	// Two 48-plan halves both outgrow the 40-variable device.
+	rec := &budgetRecorder{inner: &da.Solver{}}
+	opt := Options{Device: &da.Solver{CapacityVars: 40}, PartitionSolver: rec, Runs: 2, TotalSweeps: 1001, Seed: 5}
+	var lo, hi []int
+	for q := 0; q < p.NumQueries(); q++ {
+		if q < p.NumQueries()/2 {
+			lo = append(lo, q)
+		} else {
+			hi = append(hi, q)
+		}
+	}
+	if _, err := partition.Refit(context.Background(), p, [][]int{lo, hi}, opt.partitionOptions()); err != nil {
+		t.Fatal(err)
+	}
+	check(t, rec, 1001)
 }
