@@ -32,7 +32,7 @@
 //
 // Caching: -fig warm measures the cross-solve cache on recurring workloads —
 // cold vs. structure-hit vs. warm-start latency and sweeps-to-parity
-// (BENCH_warm.json records a reference run); the phases report carries a
+// (EXPERIMENTS.md records reference runs); the phases report carries a
 // cached-second-run row attributing the saved time to the partition phase.
 //
 // Serving: -fig serve load-tests the mqoserve HTTP stack in-process — N
