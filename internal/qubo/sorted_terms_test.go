@@ -131,12 +131,14 @@ func TestReweightUpdatesAllViews(t *testing.T) {
 			if m.Linear(i) != want.Linear(i) {
 				t.Fatalf("round %d: linear[%d] = %v, want %v", round, i, m.Linear(i), want.Linear(i))
 			}
-			if len(m.adj[i]) != len(want.adj[i]) {
-				t.Fatalf("round %d: adj[%d] has %d entries, want %d", round, i, len(m.adj[i]), len(want.adj[i]))
+			lo, hi := m.rowStart[i], m.rowStart[i+1]
+			wlo, whi := want.rowStart[i], want.rowStart[i+1]
+			if hi-lo != whi-wlo {
+				t.Fatalf("round %d: row %d has %d entries, want %d", round, i, hi-lo, whi-wlo)
 			}
-			for k := range want.adj[i] {
-				if m.adj[i][k] != want.adj[i][k] {
-					t.Fatalf("round %d: adj[%d][%d] = %+v, want %+v", round, i, k, m.adj[i][k], want.adj[i][k])
+			for k := int32(0); k < whi-wlo; k++ {
+				if m.nbr[lo+k] != want.nbr[wlo+k] || m.coef[lo+k] != want.coef[wlo+k] {
+					t.Fatalf("round %d: row %d entry %d = (%d, %v), want (%d, %v)", round, i, k, m.nbr[lo+k], m.coef[lo+k], want.nbr[wlo+k], want.coef[wlo+k])
 				}
 			}
 		}
