@@ -55,10 +55,6 @@ type Solver struct {
 	// total number of Monte-Carlo steps per run (each step evaluates all
 	// variables once and performs at most one flip).
 	DefaultSteps int
-	// OffsetIncreaseRate controls how fast the dynamic offset grows while
-	// the state is stuck, in units of the mean absolute coefficient. Zero
-	// means the default of 1.
-	OffsetIncreaseRate float64
 	// DisableDynamicOffset turns the escape mechanism off (ablation).
 	DisableDynamicOffset bool
 	// SingleFlip replaces parallel-trial acceptance with conventional
@@ -124,20 +120,12 @@ type runParams struct {
 // newRunParams hoists the per-run invariants of a Solve.
 func (s *Solver) newRunParams(m *qubo.Model, steps int) runParams {
 	tHot, tCold := temperatureRange(m)
-	offRate := s.OffsetIncreaseRate
-	if offRate <= 0 {
-		offRate = 1
-	}
-	offUnit := meanAbsCoefficient(m) * offRate
-	if offUnit == 0 {
-		offUnit = 1
-	}
 	temps := make([]float64, steps)
 	denom := float64(max(steps-1, 1))
 	for step := range temps {
 		temps[step] = tHot * math.Pow(tCold/tHot, float64(step)/denom)
 	}
-	return runParams{temps: temps, offUnit: offUnit}
+	return runParams{temps: temps, offUnit: offsetUnit(m)}
 }
 
 // expVariate returns −ln(u) for u drawn uniformly from (0,1]. rand.Float64
@@ -347,6 +335,15 @@ func temperatureRange(m *qubo.Model) (hot, cold float64) {
 		cold = hot / 100
 	}
 	return hot, cold
+}
+
+// offsetUnit is the step by which a stuck chain's dynamic offset grows:
+// the model's mean absolute coefficient, or 1 when it has none.
+func offsetUnit(m *qubo.Model) float64 {
+	if u := meanAbsCoefficient(m); u != 0 {
+		return u
+	}
+	return 1
 }
 
 func meanAbsCoefficient(m *qubo.Model) float64 {

@@ -231,40 +231,3 @@ func TestBlockVariablesCoverAllOnce(t *testing.T) {
 		}
 	}
 }
-
-func TestClampedSubModelEnergyAlignment(t *testing.T) {
-	// For fixed outside variables, sub-model energy differences must equal
-	// global energy differences.
-	b := qubo.NewBuilder(6)
-	for i := 0; i < 6; i++ {
-		b.AddLinear(i, float64(i)-2.5)
-	}
-	for i := 0; i < 6; i++ {
-		for j := i + 1; j < 6; j++ {
-			b.AddQuadratic(i, j, float64(i-j))
-		}
-	}
-	m := b.Build()
-	st := qubo.NewState(m)
-	st.Reset([]int8{1, 0, 1, 1, 0, 1})
-	block := []int{1, 3, 5}
-	sub, err := clampedSubModel(m, block, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := st.Assignment()
-	subX := []int8{full[1], full[3], full[5]}
-	baseSub, baseFull := sub.Energy(subX), m.Energy(full)
-	// Flip each block variable and compare deltas.
-	for bi, v := range block {
-		subX[bi] ^= 1
-		full[v] ^= 1
-		dSub := sub.Energy(subX) - baseSub
-		dFull := m.Energy(full) - baseFull
-		if math.Abs(dSub-dFull) > 1e-9 {
-			t.Errorf("block var %d: sub delta %v, full delta %v", v, dSub, dFull)
-		}
-		subX[bi] ^= 1
-		full[v] ^= 1
-	}
-}

@@ -63,10 +63,7 @@ func (s *Solver) SolveLarge(ctx context.Context, req solver.Request) (*solver.Re
 			if solver.Interrupted(ctx) {
 				break
 			}
-			sub, err := clampedSubModel(m, block, st)
-			if err != nil {
-				return nil, err
-			}
+			sub := st.ClampedSubModel(block)
 			subReq := solver.Request{Model: sub, Runs: req.Runs, Sweeps: perBlock, Seed: rng.Int63(), Parallelism: req.Parallelism}
 			subRes, err := s.Solve(ctx, subReq)
 			if err != nil {
@@ -155,32 +152,4 @@ func (s *Solver) blockVariables(m *qubo.Model) [][]int {
 		blocks = append(blocks, block)
 	}
 	return blocks
-}
-
-// clampedSubModel builds the sub-QUBO over the block's variables with all
-// other variables clamped to their value in st: couplings between a block
-// variable and an outside variable fold into the block variable's linear
-// coefficient when the outside variable is 1.
-func clampedSubModel(m *qubo.Model, block []int, st *qubo.State) (*qubo.Model, error) {
-	localOf := make(map[int]int, len(block))
-	for li, v := range block {
-		localOf[v] = li
-	}
-	b := qubo.NewBuilder(len(block))
-	for li, v := range block {
-		b.AddLinear(li, m.Linear(v))
-	}
-	for _, t := range m.Terms() {
-		li, inI := localOf[t.I]
-		lj, inJ := localOf[t.J]
-		switch {
-		case inI && inJ:
-			b.AddQuadratic(li, lj, t.Coeff)
-		case inI && st.Get(t.J) != 0:
-			b.AddLinear(li, t.Coeff)
-		case inJ && st.Get(t.I) != 0:
-			b.AddLinear(lj, t.Coeff)
-		}
-	}
-	return b.Build(), nil
 }

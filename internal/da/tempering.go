@@ -77,10 +77,7 @@ func (s *Solver) SolvePT(ctx context.Context, req solver.Request) (*solver.Resul
 	for i := range chains {
 		trackers[i].Observe(chains[i].st)
 	}
-	offUnit := meanAbsCoefficient(m)
-	if offUnit == 0 {
-		offUnit = 1
-	}
+	offUnit := offsetUnit(m)
 	exchangeEvery := 20
 	workers := solver.Workers(req.Parallelism)
 	performed := 0

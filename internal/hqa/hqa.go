@@ -199,7 +199,7 @@ func (s *Solver) hybridRun(ctx context.Context, m *qubo.Model, iters int, st *qu
 			break
 		}
 		block := s.selectSubproblem(m, st, rng)
-		sub := clampedSubModel(m, block, st)
+		sub := st.ClampedSubModel(block)
 		assignment, performed := s.qpuSolve(sub, rng)
 		sweeps += performed
 		// Integrate the QPU suggestion when it improves the incumbent.
@@ -340,33 +340,6 @@ func (s *Solver) perturb(sub *qubo.Model, rng *rand.Rand) *qubo.Model {
 	}
 	for _, t := range sub.Terms() {
 		b.AddQuadratic(t.I, t.J, q(t.Coeff))
-	}
-	return b.Build()
-}
-
-// clampedSubModel builds the sub-QUBO over block with all other variables
-// clamped to their value in st (couplings to clamped-1 variables fold into
-// linear terms).
-func clampedSubModel(m *qubo.Model, block []int, st *qubo.State) *qubo.Model {
-	localOf := make(map[int]int, len(block))
-	for li, v := range block {
-		localOf[v] = li
-	}
-	b := qubo.NewBuilder(len(block))
-	for li, v := range block {
-		b.AddLinear(li, m.Linear(v))
-	}
-	for _, t := range m.Terms() {
-		li, inI := localOf[t.I]
-		lj, inJ := localOf[t.J]
-		switch {
-		case inI && inJ:
-			b.AddQuadratic(li, lj, t.Coeff)
-		case inI && st.Get(t.J) != 0:
-			b.AddLinear(li, t.Coeff)
-		case inJ && st.Get(t.I) != 0:
-			b.AddLinear(lj, t.Coeff)
-		}
 	}
 	return b.Build()
 }
