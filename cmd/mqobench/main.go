@@ -35,14 +35,15 @@
 // (EXPERIMENTS.md records reference runs); the phases report carries a
 // cached-second-run row attributing the saved time to the partition phase.
 //
-// Serving: -fig serve load-tests the mqoserve HTTP stack in-process — N
-// concurrent clients per scale level against a 2-worker fleet over loopback
-// HTTP — and reports throughput with p50/p95/p99 latency per level
-// (BENCH_serve.json records a reference run). -fig chaos soaks the same
-// stack under injected worker kills, slow workers and journal write
-// failures, asserting the crash-safety invariants — every request answered,
-// every OK cost bit-identical to a standalone solve via checkpoint resume,
-// every stream well-formed (BENCH_chaos.json records a reference run).
+// Serving: -fig chaos soaks the mqoserve HTTP stack in-process under
+// injected worker kills, slow workers and journal write failures, asserting
+// the crash-safety invariants — every request answered, every OK cost
+// bit-identical to a standalone solve via checkpoint resume, every stream
+// well-formed (EXPERIMENTS.md records a reference run). Serving latency and
+// throughput are measured by the repository benchmark's serve-mixed
+// workload (benchmark/).
+//
+// An unknown -fig name exits with status 2 and lists the valid names.
 package main
 
 import (
@@ -52,6 +53,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -62,7 +64,7 @@ import (
 
 func main() {
 	var (
-		fig       = flag.String("fig", "all", "figure to regenerate: 1, 3, 4, 5, 6, 7, devices, phases, convergence, dag, warm, serve, chaos, ablation or all")
+		fig       = flag.String("fig", "all", "comma-separated figures to regenerate: 1, 3, 4, 5, 6, 7, devices, phases, convergence, dag, warm, chaos, ablation or all")
 		scale     = flag.String("scale", "reduced", "experiment scale: smoke, reduced or paper")
 		csv       = flag.Bool("csv", false, "emit CSV instead of text tables")
 		outDir    = flag.String("out", "", "write per-figure files to this directory instead of stdout")
@@ -132,19 +134,17 @@ func main() {
 		{"convergence", func() (*bench.Report, error) { return bench.Convergence(ctx, cfg, sc) }},
 		{"dag", func() (*bench.Report, error) { return bench.AblationDAG(ctx, cfg, sc) }},
 		{"warm", func() (*bench.Report, error) { return bench.WarmStarts(ctx, cfg, sc) }},
-		{"serve", func() (*bench.Report, error) { return bench.ServeLoad(ctx, cfg, sc) }},
 		{"chaos", func() (*bench.Report, error) { return bench.ChaosSoak(ctx, cfg, sc) }},
 		{"ablation", func() (*bench.Report, error) { return nil, nil }}, // expanded below
 	}
-	selected := map[string]bool{}
-	if *fig == "all" {
-		for _, j := range jobs {
-			selected[j.name] = true
-		}
-	} else {
-		for _, f := range strings.Split(*fig, ",") {
-			selected[strings.TrimSpace(f)] = true
-		}
+	names := make([]string, len(jobs))
+	for i, j := range jobs {
+		names[i] = j.name
+	}
+	selected, err := selectFigures(*fig, names)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mqobench:", err)
+		os.Exit(2)
 	}
 
 	emit := func(r *bench.Report) {
@@ -212,6 +212,27 @@ func main() {
 		}
 	}
 	fmt.Fprintf(os.Stderr, "mqobench: done in %v (%s scale)\n", time.Since(start).Round(time.Second), sc.Name)
+}
+
+// selectFigures parses the -fig list: "all" selects every name, and any
+// name that is neither a figure nor "all" is an error listing the valid
+// names.
+func selectFigures(spec string, names []string) (map[string]bool, error) {
+	selected := map[string]bool{}
+	for _, f := range strings.Split(spec, ",") {
+		f = strings.TrimSpace(f)
+		switch {
+		case f == "all":
+			for _, n := range names {
+				selected[n] = true
+			}
+		case slices.Contains(names, f):
+			selected[f] = true
+		default:
+			return nil, fmt.Errorf("unknown figure %q (want %s or all)", f, strings.Join(names, ", "))
+		}
+	}
+	return selected, nil
 }
 
 func scaleFor(name string) (bench.Scale, error) {

@@ -138,20 +138,11 @@ func AblationLagrange(ctx context.Context, cfg Config, scale Scale) (*Report, er
 		}
 		g := partition.BuildGraph(p)
 		for _, s := range []float64{0.01, 1, 10} {
-			enc, err := encoding.EncodePartition(g.NodeWeights, g.Edges)
+			enc, err := encoding.EncodePartitionScaled(g.NodeWeights, g.Edges, s)
 			if err != nil {
 				return nil, err
 			}
-			model := enc.Model
-			if s != 1 {
-				scaled, err := encoding.EncodePartitionScaled(g.NodeWeights, g.Edges, s)
-				if err != nil {
-					return nil, err
-				}
-				model = scaled.Model
-				enc = scaled
-			}
-			res, err := dev.Solve(ctx, solver.Request{Model: model, Runs: cfg.Runs, Sweeps: 800, Seed: classSeed("abl-lag", inst, int(s*100), 0)})
+			res, err := dev.Solve(ctx, solver.Request{Model: enc.Model, Runs: cfg.Runs, Sweeps: 800, Seed: classSeed("abl-lag", inst, int(s*100), 0)})
 			if err != nil {
 				return nil, err
 			}
@@ -159,13 +150,17 @@ func AblationLagrange(ctx context.Context, cfg Config, scale Scale) (*Report, er
 			if !ok {
 				return nil, fmt.Errorf("ablation: device returned no samples")
 			}
+			part1, part2, err := enc.Decode(best.Assignment)
+			if err != nil {
+				return nil, err
+			}
 			in1 := make([]bool, g.NumNodes())
-			for i, x := range best.Assignment {
-				in1[i] = x != 0
+			for _, q := range part1 {
+				in1[q] = true
 			}
 			r.AddRow(p.Name, fmt.Sprintf("%.2f·ω_A", s),
 				fmt.Sprintf("%.0f", enc.Imbalance(in1)),
-				fmt.Sprintf("%.1f", enc.CutWeight(in1)))
+				fmt.Sprintf("%.1f", g.CutWeight(part1, part2)))
 		}
 	}
 	r.Notes = append(r.Notes, "below the bound (0.01·ω_A) the annealer trades balance for cut weight; at and above the bound partitions stay balanced (Theorem 4.5)")

@@ -46,10 +46,8 @@ func ChaosSoak(ctx context.Context, cfg Config, scale Scale) (*Report, error) {
 	if soak <= 0 {
 		soak = 200
 	}
-	clients := 8
-	if n := len(scale.ServeClients); n > 0 && scale.ServeClients[n-1] < clients {
-		clients = scale.ServeClients[n-1]
-	}
+	// One client per six requests, at most 8: 4 at smoke scale.
+	clients := min(8, max(1, soak/6))
 
 	queries := scale.QuerySet[0]
 	in, err := workload.GenerateSweep(workload.SweepConfig{

@@ -31,13 +31,6 @@ type Scale struct {
 	// Fig1MaxQueries is the query axis bound of the qubit-requirement
 	// figure (paper: ~40 at 10 PPQ).
 	Fig1MaxQueries int
-	// ServeClients is the concurrency axis of the mqoserve load figure:
-	// each entry is a number of simultaneous clients hammering the
-	// service.
-	ServeClients []int
-	// ServeRequests is the number of solve requests each client issues
-	// per concurrency level.
-	ServeRequests int
 	// ChaosRequests is the request count of the serve-layer chaos soak
 	// (`-fig chaos`): how many seeded solves are pushed through the
 	// fault-injected serving stack while its crash-safety invariants are
@@ -58,8 +51,6 @@ func PaperScale() Scale {
 		RuntimeDensities: []float64{0.2, 0.5, 0.8},
 		MaxQueriesHQA:    500,
 		Fig1MaxQueries:   40,
-		ServeClients:     []int{1, 4, 8, 16},
-		ServeRequests:    8,
 		ChaosRequests:    400,
 	}
 }
@@ -79,8 +70,6 @@ func ReducedScale() Scale {
 		RuntimeDensities: []float64{0.2, 0.5, 0.8},
 		MaxQueriesHQA:    128,
 		Fig1MaxQueries:   40,
-		ServeClients:     []int{1, 4, 8},
-		ServeRequests:    6,
 		ChaosRequests:    200,
 	}
 }
@@ -99,8 +88,6 @@ func SmokeScale() Scale {
 		RuntimeDensities: []float64{0.2, 0.8},
 		MaxQueriesHQA:    32,
 		Fig1MaxQueries:   30,
-		ServeClients:     []int{1, 2, 4},
-		ServeRequests:    3,
 		ChaosRequests:    24,
 	}
 }

@@ -63,10 +63,8 @@ type Options struct {
 	TotalSweeps int
 	// Seed makes the full pipeline deterministic.
 	Seed int64
-	// PostProcessParses and MinPartFraction forward to
-	// partition.Options; see there.
+	// PostProcessParses forwards to partition.Options; see there.
 	PostProcessParses int
-	MinPartFraction   float64
 	// Parallelism bounds worker goroutines throughout the pipeline: it
 	// caps concurrent partial-problem solves within a wave and is
 	// forwarded to the device as Request.Parallelism, bounding its
@@ -227,7 +225,6 @@ func (o Options) partitionOptions() partition.Options {
 		Sweeps:            o.TotalSweeps, // the whole budget; partition sizes each bisection from it
 		Seed:              o.Seed,
 		PostProcessParses: o.PostProcessParses,
-		MinPartFraction:   o.MinPartFraction,
 		Parallelism:       o.Parallelism,
 		FailFast:          o.FailFast,
 	}

@@ -14,7 +14,7 @@ import (
 // BenchmarkIncrementalPipeline measures the end-to-end incremental solve
 // (partitioning, encoding, annealing, DSS, decoding) on a 384-variable
 // community instance split across four DA partitions — the macro benchmark
-// behind BENCH_encoding.json.
+// of EXPERIMENTS.md's "Encoding benchmarks".
 func BenchmarkIncrementalPipeline(b *testing.B) {
 	in, err := workload.GenerateSweep(workload.SweepConfig{
 		Queries: 96, PPQ: 4, Communities: 4,

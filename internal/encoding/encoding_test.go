@@ -370,9 +370,6 @@ func TestPartitionDecodeAndCutWeight(t *testing.T) {
 	if len(p1) != 2 || len(p2) != 2 || p1[0] != 0 || p1[1] != 1 {
 		t.Errorf("decode = %v | %v, want [0 1] | [2 3]", p1, p2)
 	}
-	if got := enc.CutWeight([]bool{true, true, false, false}); got != 10 {
-		t.Errorf("CutWeight = %v, want 10", got)
-	}
 	if _, _, err := enc.Decode([]int8{1}); err == nil {
 		t.Error("Decode accepted short sample")
 	}

@@ -9,7 +9,6 @@ package encoding
 
 import (
 	"fmt"
-	"math"
 
 	"incranneal/internal/mqo"
 	"incranneal/internal/qubo"
@@ -34,65 +33,17 @@ type MQOEncoding struct {
 //
 // The first term enforces exactly one plan per query, the second charges
 // execution costs and the third rewards realised savings, so minimum-energy
-// configurations are optimal MQO solutions.
+// configurations are optimal MQO solutions. The penalty weight A is derived
+// from the instance (see PreparedMQO.Penalty) rather than hand-tuned.
 //
-// The penalty weight A is derived from the instance (see SufficientPenalty)
-// rather than hand-tuned, and remains sufficient when DSS has reduced plan
-// costs below zero.
+// EncodeMQO is PrepareMQO followed by one Encoding; callers that re-encode
+// a problem as DSS adjusts its costs keep the PreparedMQO instead.
 func EncodeMQO(p *mqo.Problem) (*MQOEncoding, error) {
-	if p.NumQueries() == 0 {
-		return nil, mqo.ErrEmptyProblem
+	pp, err := PrepareMQO(p)
+	if err != nil {
+		return nil, err
 	}
-	a := SufficientPenalty(p)
-	b := qubo.NewBuilder(p.NumPlans())
-	for q := 0; q < p.NumQueries(); q++ {
-		plans := p.Plans(q)
-		// A·(1 − Σx)² expands to A − A·Σ_p x_p + 2A·Σ_{p<p'} x_p·x_p'
-		// (using x² = x); the constant is dropped.
-		for _, pl := range plans {
-			b.AddLinear(pl, -a)
-		}
-		for i := 0; i < len(plans); i++ {
-			for j := i + 1; j < len(plans); j++ {
-				b.AddQuadratic(plans[i], plans[j], 2*a)
-			}
-		}
-	}
-	for pl := 0; pl < p.NumPlans(); pl++ {
-		b.AddLinear(pl, p.Cost(pl))
-	}
-	for _, s := range p.Savings() {
-		b.AddQuadratic(s.P1, s.P2, -s.Value)
-	}
-	return &MQOEncoding{Problem: p, Model: b.Build(), Penalty: a}, nil
-}
-
-// SufficientPenalty returns a one-hot penalty weight A guaranteeing that
-// every minimum of the encoded model selects exactly one plan per query.
-//
-// Violations and their maximum energy benefit:
-//   - selecting an extra plan p for an already-covered query raises the
-//     constraint energy by at least A while gaining at most
-//     Σ(savings incident to p) − c_p, so A must exceed
-//     max_p (incident(p) − c_p);
-//   - deselecting a query's only plan p raises the constraint energy by A
-//     while gaining at most c_p (its savings only shrink the gain), so A
-//     must exceed max_p c_p.
-//
-// Plan costs may be negative after DSS adjustments (Algorithm 3); both
-// bounds account for that by using the signed cost.
-func SufficientPenalty(p *mqo.Problem) float64 {
-	var bound float64
-	for pl := 0; pl < p.NumPlans(); pl++ {
-		var incident float64
-		for _, s := range p.SavingsOf(pl) {
-			incident += s.Value
-		}
-		c := p.Cost(pl)
-		bound = math.Max(bound, incident-c)
-		bound = math.Max(bound, c)
-	}
-	return bound + 1
+	return pp.Encoding(), nil
 }
 
 // Decode converts a device sample into a valid MQO solution, applying the
@@ -107,22 +58,6 @@ func (e *MQOEncoding) Decode(assignment []int8) (*mqo.Solution, error) {
 		selected[i] = x != 0
 	}
 	return mqo.Repair(e.Problem, selected), nil
-}
-
-// DecodeInto is Decode reusing caller-provided buffers: selected and chosen
-// must each hold at least NumPlans entries (both are overwritten) and into
-// must cover the problem's queries. The hot per-sample decode loop of the
-// pipeline allocates nothing through this path.
-func (e *MQOEncoding) DecodeInto(assignment []int8, selected, chosen []bool, into *mqo.Solution) error {
-	if len(assignment) != e.Problem.NumPlans() {
-		return fmt.Errorf("encoding: sample has %d variables, problem has %d plans", len(assignment), e.Problem.NumPlans())
-	}
-	selected = selected[:len(assignment)]
-	for i, x := range assignment {
-		selected[i] = x != 0
-	}
-	mqo.RepairInto(e.Problem, selected, into, chosen)
-	return nil
 }
 
 // IsValidSample reports whether a raw sample already selects exactly one

@@ -19,8 +19,6 @@ type PartitionEncoding struct {
 	Model *qubo.Model
 	// NodeWeights[i] is ω_v of node i (the query's plan count).
 	NodeWeights []float64
-	// Edges is the weighted edge list the encoding was built from.
-	Edges []WeightedEdge
 	// LagrangeA is the multiplier ω_A of Theorem 4.5.
 	LagrangeA float64
 }
@@ -70,13 +68,13 @@ func EncodePartitionScaled(nodeWeights []float64, edges []WeightedEdge, lagrange
 	lagrange := lagrangeScale * LagrangeMultiplier(n, edges)
 	// The balance term couples *every* spin pair, so the coupling matrix is
 	// dense: accumulate it in a flat upper-triangular array and emit the
-	// QUBO terms directly in CSR order, instead of round-tripping through
-	// the map-backed Ising builder plus a sort at every recursion level of
-	// the partitioning phase. The float operations replicate the builder
-	// path exactly — balance couplings first, then the edge couplings in
-	// slice order, then the s = 2x − 1 substitution over pairs in row-major
-	// (= sorted-key) order — so the resulting model is bit-identical
-	// (pinned by TestEncodePartitionCSRMatchesBuilder).
+	// QUBO terms directly in CSR order, instead of accumulating a coupling
+	// map and sorting it at every recursion level of the partitioning
+	// phase. The float operations replicate the map-backed reference
+	// encoder of the tests exactly — balance couplings first, then the edge
+	// couplings in slice order, then the s = 2x − 1 substitution over pairs
+	// in row-major (= sorted-key) order — so the resulting model is
+	// bit-identical (pinned by TestEncodePartitionCSRMatchesBuilder).
 	coup := make([]float64, n*(n-1)/2)
 	idx := func(i, j int) int { // i < j
 		return i*(2*n-i-1)/2 + (j - i - 1)
@@ -116,7 +114,6 @@ func EncodePartitionScaled(nodeWeights []float64, edges []WeightedEdge, lagrange
 	return &PartitionEncoding{
 		Model:       qubo.NewModelFromSortedTerms(linear, terms),
 		NodeWeights: append([]float64(nil), nodeWeights...),
-		Edges:       append([]WeightedEdge(nil), edges...),
 		LagrangeA:   lagrange,
 	}, nil
 }
@@ -159,19 +156,6 @@ func (e *PartitionEncoding) Decode(assignment []int8) (part1, part2 []int, err e
 		}
 	}
 	return part1, part2, nil
-}
-
-// CutWeight returns the accumulated weight of edges crossing the given
-// bipartition (part membership per node, true = part1) — the magnitude of
-// savings a cut discards.
-func (e *PartitionEncoding) CutWeight(inPart1 []bool) float64 {
-	var cut float64
-	for _, ed := range e.Edges {
-		if inPart1[ed.U] != inPart1[ed.V] {
-			cut += ed.Weight
-		}
-	}
-	return cut
 }
 
 // Imbalance returns |Σ_{part1} ω_v − Σ_{part2} ω_v| for the given

@@ -12,7 +12,7 @@ import (
 // search steering (Algorithm 3) mutates plan costs between partial solves.
 //
 // The key observation is that DSS only ever changes *linear* plan-cost
-// coefficients and — through SufficientPenalty — the one-hot penalty A; the
+// coefficients and — through Penalty — the one-hot penalty A; the
 // quadratic structure (one-hot cliques and savings terms) is invariant
 // across the whole incremental phase. The skeleton therefore stores every
 // quadratic coefficient as the pair (const, coeffOfA), so the model for any
@@ -21,18 +21,19 @@ import (
 // materialisation no allocation (the qubo.Model buffer is rewritten in
 // place via Model.Reweight).
 //
-// Materialised coefficients are bit-identical to a fresh EncodeMQO of the
-// same (adjusted) problem — the float operations are performed in the same
-// order — which keeps the whole pipeline's results independent of whether
-// encodings are rebuilt or reweighted (pinned by TestPrepareMQOMatchesFresh
-// and FuzzPrepareMQOReweight).
+// Materialised coefficients are bit-identical to adding the same terms one
+// by one through qubo.Builder, the reference encoder of the tests — the
+// float operations are performed in the same order — which keeps the whole
+// pipeline's results independent of whether encodings are rebuilt or
+// reweighted (pinned by TestPrepareMQOMatchesFresh and
+// FuzzPrepareMQOReweight).
 type PreparedMQO struct {
 	// Problem is the encoded problem; its live (possibly DSS-adjusted)
 	// costs are read at every materialisation.
 	Problem *mqo.Problem
 	// incident[pl] is the accumulated saving value incident to plan pl,
-	// summed in the same order as SufficientPenalty so the derived penalty
-	// matches bit for bit. Savings never change, so this is prepared once.
+	// summed in savings order. Savings never change, so this is prepared
+	// once.
 	incident []float64
 	// Skeleton term structure in CSR order (I < J, lexicographic); the
 	// coefficient of term t is termConst[t] + termCoeffA[t]·A. One-hot
@@ -63,7 +64,9 @@ func (pp *PreparedMQO) Stats() EncodingStats { return pp.stats }
 // PrepareMQO builds the immutable encoding skeleton of p. The structure
 // depends only on the query/plan layout and the savings pairs, both of which
 // DSS never touches, so one skeleton serves every re-encoding of a partial
-// problem across the incremental phase.
+// problem across the incremental phase. The CSR emission relies on sorted,
+// distinct savings between plans of different queries, which NewProblem
+// guarantees for every problem.
 func PrepareMQO(p *mqo.Problem) (*PreparedMQO, error) {
 	if p.NumQueries() == 0 {
 		return nil, mqo.ErrEmptyProblem
@@ -176,9 +179,21 @@ func (pp *PreparedMQO) Rebind(np *mqo.Problem) bool {
 	return true
 }
 
-// Penalty derives the one-hot penalty A from the problem's current costs,
-// bit-identical to SufficientPenalty (the incident-savings sums are
-// prepared in the same accumulation order).
+// Penalty derives from the problem's current costs a one-hot penalty
+// weight A that guarantees every minimum of the encoded model selects
+// exactly one plan per query.
+//
+// Violations and their maximum energy benefit:
+//   - selecting an extra plan p for an already-covered query raises the
+//     constraint energy by at least A while gaining at most
+//     Σ(savings incident to p) − c_p, so A must exceed
+//     max_p (incident(p) − c_p);
+//   - deselecting a query's only plan p raises the constraint energy by A
+//     while gaining at most c_p (its savings only shrink the gain), so A
+//     must exceed max_p c_p.
+//
+// Plan costs may be negative after DSS adjustments (Algorithm 3); both
+// bounds account for that by using the signed cost.
 func (pp *PreparedMQO) Penalty() float64 {
 	var bound float64
 	for pl := 0; pl < pp.Problem.NumPlans(); pl++ {
@@ -196,8 +211,8 @@ func (pp *PreparedMQO) NumTerms() int { return len(pp.terms) }
 // the penalty they imply. The first call allocates the model; every later
 // call rewrites the same buffers in place and returns the same *MQOEncoding,
 // so callers must not hand the previous materialisation to a still-running
-// solver. Coefficients equal a fresh EncodeMQO of the same problem state
-// exactly.
+// solver. Coefficients equal those of a fresh PrepareMQO of the same
+// problem state exactly.
 func (pp *PreparedMQO) Encoding() *MQOEncoding {
 	a := pp.Penalty()
 	if pp.enc == nil {
@@ -227,9 +242,9 @@ func (pp *PreparedMQO) Encoding() *MQOEncoding {
 }
 
 // fill computes all coefficients for penalty a into the scratch buffers.
-// Linear terms replicate EncodeMQO's accumulation (−A from the one-hot
-// expansion, then the plan cost) and quadratic terms evaluate
-// const + coeffOfA·A; both reproduce the Builder path's floats exactly.
+// Linear terms replicate the Builder reference's accumulation (−A from the
+// one-hot expansion, then the plan cost) and quadratic terms evaluate
+// const + coeffOfA·A; both reproduce its floats exactly.
 func (pp *PreparedMQO) fill(a float64) {
 	for pl := range pp.linear {
 		pp.linear[pl] = -a + pp.Problem.Cost(pl)

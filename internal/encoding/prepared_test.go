@@ -1,6 +1,7 @@
 package encoding
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -8,17 +9,58 @@ import (
 	"incranneal/internal/qubo"
 )
 
-// assertMatchesFresh checks that pp's materialised encoding equals a fresh
-// EncodeMQO of the same (possibly cost-adjusted) problem state with exact
-// float equality — the bit-identity contract that keeps pipeline results
-// independent of whether encodings are rebuilt or reweighted.
+// encodeMQOBuilder is the map-backed Trummer–Koch encoder: every term is
+// added through qubo.Builder, which sums and sorts them. It is the
+// reference the prepared skeleton is tested against bit for bit.
+func encodeMQOBuilder(p *mqo.Problem) *MQOEncoding {
+	a := sufficientPenalty(p)
+	b := qubo.NewBuilder(p.NumPlans())
+	for q := 0; q < p.NumQueries(); q++ {
+		plans := p.Plans(q)
+		// A·(1 − Σx)² expands to A − A·Σ_p x_p + 2A·Σ_{p<p'} x_p·x_p'
+		// (using x² = x); the constant is dropped.
+		for _, pl := range plans {
+			b.AddLinear(pl, -a)
+		}
+		for i := 0; i < len(plans); i++ {
+			for j := i + 1; j < len(plans); j++ {
+				b.AddQuadratic(plans[i], plans[j], 2*a)
+			}
+		}
+	}
+	for pl := 0; pl < p.NumPlans(); pl++ {
+		b.AddLinear(pl, p.Cost(pl))
+	}
+	for _, s := range p.Savings() {
+		b.AddQuadratic(s.P1, s.P2, -s.Value)
+	}
+	return &MQOEncoding{Problem: p, Model: b.Build(), Penalty: a}
+}
+
+// sufficientPenalty is PreparedMQO.Penalty computed from the problem
+// alone: A exceeds max_p (incident(p) − c_p) and max_p c_p.
+func sufficientPenalty(p *mqo.Problem) float64 {
+	var bound float64
+	for pl := 0; pl < p.NumPlans(); pl++ {
+		var incident float64
+		for _, s := range p.SavingsOf(pl) {
+			incident += s.Value
+		}
+		c := p.Cost(pl)
+		bound = math.Max(bound, incident-c)
+		bound = math.Max(bound, c)
+	}
+	return bound + 1
+}
+
+// assertMatchesFresh checks that pp's materialised encoding equals the
+// Builder reference of the same (possibly cost-adjusted) problem state with
+// exact float equality — the bit-identity contract that keeps pipeline
+// results independent of whether encodings are rebuilt or reweighted.
 func assertMatchesFresh(t *testing.T, pp *PreparedMQO, tag string) {
 	t.Helper()
 	got := pp.Encoding()
-	want, err := EncodeMQO(pp.Problem)
-	if err != nil {
-		t.Fatalf("%s: fresh encode: %v", tag, err)
-	}
+	want := encodeMQOBuilder(pp.Problem)
 	if got.Penalty != want.Penalty {
 		t.Fatalf("%s: penalty %v, fresh %v", tag, got.Penalty, want.Penalty)
 	}
@@ -147,31 +189,44 @@ func FuzzPrepareMQOReweight(f *testing.F) {
 	})
 }
 
-// encodePartitionScaledBuilder is the original map-backed Ising/Builder
-// construction, kept as the reference implementation the CSR fast path is
-// tested against bit for bit.
+// encodePartitionScaledBuilder is the map-backed reference the CSR fast
+// path is tested against bit for bit: spin couplings accumulate in a map,
+// then convert to QUBO via s = 2x − 1 through qubo.Builder in sorted key
+// order. Constant energy terms are dropped.
 func encodePartitionScaledBuilder(nodeWeights []float64, edges []WeightedEdge, lagrangeScale float64) *PartitionEncoding {
 	n := len(nodeWeights)
 	lagrange := lagrangeScale * LagrangeMultiplier(n, edges)
-	is := qubo.NewIsing(n)
-	var sqSum float64
-	for _, w := range nodeWeights {
-		sqSum += w * w
+	coup := make(map[[2]int]float64)
+	couple := func(i, j int, c float64) {
+		if i > j {
+			i, j = j, i
+		}
+		coup[[2]int{i, j}] += c
 	}
-	is.AddConstant(lagrange * sqSum)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			is.AddCoupling(i, j, 2*lagrange*nodeWeights[i]*nodeWeights[j])
+			couple(i, j, 2*lagrange*nodeWeights[i]*nodeWeights[j])
 		}
 	}
 	for _, e := range edges {
-		is.AddConstant(e.Weight / 2)
-		is.AddCoupling(e.U, e.V, -e.Weight/2)
+		couple(e.U, e.V, -e.Weight/2)
+	}
+	// J·s_i·s_j = 4J·x_i·x_j − 2J·x_i − 2J·x_j + J, in row-major key order.
+	b := qubo.NewBuilder(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			c, ok := coup[[2]int{i, j}]
+			if !ok {
+				continue
+			}
+			b.AddQuadratic(i, j, 4*c)
+			b.AddLinear(i, -2*c)
+			b.AddLinear(j, -2*c)
+		}
 	}
 	return &PartitionEncoding{
-		Model:       is.ToQUBO(),
+		Model:       b.Build(),
 		NodeWeights: append([]float64(nil), nodeWeights...),
-		Edges:       append([]WeightedEdge(nil), edges...),
 		LagrangeA:   lagrange,
 	}
 }

@@ -190,7 +190,13 @@ func partitionRelations(ctx context.Context, g *QueryGraph, opt Options) ([][]in
 		for _, li := range l1 {
 			in1[li] = true
 		}
-		cut += enc.CutWeight(in1)
+		var crossing float64
+		for _, e := range edges {
+			if in1[e.U] != in1[e.V] {
+				crossing += e.Weight
+			}
+		}
+		cut += crossing
 		toGlobal := func(local []int) []int {
 			out := make([]int, len(local))
 			for i, li := range local {

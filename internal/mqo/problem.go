@@ -196,18 +196,6 @@ func (p *Problem) TotalPlanCost() float64 {
 	return t
 }
 
-// MaxPlanCost returns the largest single plan cost, or 0 for an empty
-// problem.
-func (p *Problem) MaxPlanCost() float64 {
-	var m float64
-	for _, c := range p.cost {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}
-
 // MaxIncidentSavings returns the largest accumulated saving incident to any
 // single plan. It bounds the benefit of selecting any one extra plan and is
 // used to derive sufficient QUBO penalty weights.

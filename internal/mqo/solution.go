@@ -1,9 +1,6 @@
 package mqo
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Solution assigns one execution plan to each query of a Problem.
 //
@@ -52,19 +49,6 @@ func (s *Solution) NumAssigned() int {
 		}
 	}
 	return n
-}
-
-// SelectedPlans returns the sorted list of selected plan indices, skipping
-// unassigned queries.
-func (s *Solution) SelectedPlans() []int {
-	out := make([]int, 0, len(s.Selected))
-	for _, pl := range s.Selected {
-		if pl != Unassigned {
-			out = append(out, pl)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Merge copies every assignment of other into s. It returns an error if

@@ -39,9 +39,6 @@ type Options struct {
 	// uses the paper's value of 4 and a negative value disables
 	// post-processing (ablation).
 	PostProcessParses int
-	// MinPartFraction bounds the post-processing shrinkage: part1 never
-	// drops below this fraction of the subset's queries. Zero means 0.25.
-	MinPartFraction float64
 	// Parallelism forwards to the bisection solves' Request.Parallelism,
 	// bounding each device's run-level worker pool; zero means GOMAXPROCS.
 	Parallelism int
@@ -62,17 +59,9 @@ func (o *Options) parses() int {
 	}
 }
 
-func (o *Options) minSize(n int) int {
-	f := o.MinPartFraction
-	if f <= 0 {
-		f = 0.25
-	}
-	m := int(f * float64(n))
-	if m < 1 {
-		m = 1
-	}
-	return m
-}
+// minSize bounds the post-processing shrinkage: part1 never drops below a
+// quarter of the subset's n queries, and never below one.
+func (o *Options) minSize(n int) int { return max(1, n/4) }
 
 // Result is the outcome of partitioning an MQO problem.
 type Result struct {

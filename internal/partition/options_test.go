@@ -20,16 +20,12 @@ func TestOptionsParsesDefaults(t *testing.T) {
 }
 
 func TestOptionsMinSize(t *testing.T) {
-	o := Options{} // default fraction 0.25
+	o := Options{} // a quarter of the queries, at least 1
 	if got := o.minSize(40); got != 10 {
 		t.Errorf("minSize(40) = %d, want 10", got)
 	}
 	if got := o.minSize(2); got != 1 {
 		t.Errorf("minSize(2) = %d, want floor 1", got)
-	}
-	o.MinPartFraction = 0.5
-	if got := o.minSize(40); got != 20 {
-		t.Errorf("minSize(40) at 0.5 = %d, want 20", got)
 	}
 }
 

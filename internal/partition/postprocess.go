@@ -7,10 +7,11 @@ package partition
 // shrinking part1 below minSize queries. It returns the adjusted
 // partitions; the inputs are not modified.
 //
-// The QUBO minimisation guarantees *balanced* partitions (Theorem 4.5);
-// this pass re-introduces controlled imbalance when that recovers discarded
-// savings, with minSize giving full control over the minimum partition size
-// required to achieve a sufficient problem-size reduction.
+// Theorem 4.5 makes only the exact minimum of the bisection QUBO
+// balanced; annealer samples need not be. Either way, this pass trades
+// balance for recovered savings, with minSize giving full control over the
+// minimum partition size required to achieve a sufficient problem-size
+// reduction (the pipeline uses a quarter of the subset's queries).
 func PostProcess(g *Graph, part1, part2 []int, numParses, minSize int) ([]int, []int) {
 	p1 := append([]int(nil), part1...)
 	p2 := append([]int(nil), part2...)

@@ -30,13 +30,15 @@ func benchBisection(b *testing.B) (*State, float64) {
 	for i := range w {
 		w[i] = float64(1 + rng.Intn(6))
 	}
-	is := NewIsing(n)
+	// coup[u*n+v] (u < v) accumulates the spin coupling J_uv: the edge
+	// term −ω_e/2 first, then the balance term 2·ω_A·ω_u·ω_v.
+	coup := make([]float64, n*n)
 	incident := make([]float64, n)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if rng.Float64() < 0.05 {
 				e := 1 + 9*rng.Float64()
-				is.AddCoupling(u, v, -e/2)
+				coup[u*n+v] = -e / 2
 				incident[u] += e
 				incident[v] += e
 			}
@@ -46,12 +48,17 @@ func benchBisection(b *testing.B) (*State, float64) {
 	for _, s := range incident {
 		lagrange = max(lagrange, s)
 	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			is.AddCoupling(i, j, 2*lagrange*w[i]*w[j])
+	// Substitute s = 2x − 1: J·s_u·s_v = 4J·x_u·x_v − 2J·x_u − 2J·x_v + J.
+	bld := NewBuilder(n)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			c := coup[u*n+v] + 2*lagrange*w[u]*w[v]
+			bld.AddQuadratic(u, v, 4*c)
+			bld.AddLinear(u, -2*c)
+			bld.AddLinear(v, -2*c)
 		}
 	}
-	st := NewRandomState(is.ToQUBO(), rng)
+	st := NewRandomState(bld.Build(), rng)
 	sorted := append([]float64(nil), st.Deltas()...)
 	sort.Float64s(sorted)
 	return st, sorted[n*9/10]

@@ -1,6 +1,8 @@
 // Package qubo implements the quadratic unconstrained binary optimisation
 // (QUBO) formalism required by all quantum(-inspired) annealing devices
-// (Sec. 2.1 of the paper), together with the equivalent Ising spin model.
+// (Sec. 2.1 of the paper). Spin (Ising) formulations, such as the
+// bisection encoding of Sec. 4.1.2, are converted to QUBO by their
+// encoders via s = 2x − 1.
 //
 // A QUBO instance is the multivariate polynomial
 //
@@ -9,7 +11,7 @@
 // whose minimum-energy configurations encode optimal solutions of the
 // original problem. The package provides sparse models, exact and
 // incremental energy evaluation (the O(degree) local-field updates that
-// hardware annealers perform in parallel), and spin/binary conversions.
+// hardware annealers perform in parallel).
 package qubo
 
 import (

@@ -151,69 +151,6 @@ func TestMaxAbsCoefficient(t *testing.T) {
 	}
 }
 
-func TestIsingQUBOEquivalenceProperty(t *testing.T) {
-	// Property: for every assignment, Ising energy (spins) and converted
-	// QUBO energy (binaries) differ by exactly the dropped constant.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 8
-		is := NewIsing(n)
-		for i := 0; i < n; i++ {
-			is.AddField(i, rng.NormFloat64()*5)
-		}
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if rng.Float64() < 0.5 {
-					is.AddCoupling(i, j, rng.NormFloat64()*5)
-				}
-			}
-		}
-		m := is.ToQUBO()
-		// The constant offset is assignment-independent; measure it once.
-		x0 := make([]int8, n)
-		offset := is.Energy(SpinsFromBinary(x0)) - m.Energy(x0)
-		for trial := 0; trial < 20; trial++ {
-			x := randomAssignment(rng, n)
-			isingE := is.Energy(SpinsFromBinary(x))
-			quboE := m.Energy(x)
-			if math.Abs((isingE-quboE)-offset) > 1e-6 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSpinBinaryConversionRoundTrip(t *testing.T) {
-	x := []int8{0, 1, 1, 0, 1}
-	s := SpinsFromBinary(x)
-	want := []int8{-1, 1, 1, -1, 1}
-	for i := range s {
-		if s[i] != want[i] {
-			t.Fatalf("SpinsFromBinary = %v, want %v", s, want)
-		}
-	}
-	back := BinaryFromSpins(s)
-	for i := range back {
-		if back[i] != x[i] {
-			t.Fatalf("round trip = %v, want %v", back, x)
-		}
-	}
-}
-
-func TestIsingSelfCouplingIsConstant(t *testing.T) {
-	is := NewIsing(2)
-	is.AddCoupling(0, 0, 5) // s·s = 1 → constant
-	e1 := is.Energy([]int8{1, 1})
-	e2 := is.Energy([]int8{-1, -1})
-	if e1 != 5 || e2 != 5 {
-		t.Errorf("self-coupling energies = %v, %v, want 5, 5", e1, e2)
-	}
-}
-
 func TestClampedSubModelEnergyAlignment(t *testing.T) {
 	// For fixed outside variables, sub-model energy differences must equal
 	// global energy differences.

@@ -47,16 +47,6 @@ type PoolStats struct {
 	Busy, Wall    time.Duration
 }
 
-// Utilisation returns Busy / (Workers × Wall) — 1.0 means every worker was
-// busy for the whole dispatch; values well below 1 mean the pool was
-// starved (fewer runs than workers, or one straggler run).
-func (p PoolStats) Utilisation() float64 {
-	if p.Wall <= 0 || p.Workers <= 0 {
-		return 0
-	}
-	return p.Busy.Seconds() / (p.Wall.Seconds() * float64(p.Workers))
-}
-
 // Add accumulates q into p (runs, busy and wall sum; workers takes the
 // maximum), letting per-segment dispatches (tempering exchanges, VA
 // lockstep sweeps) report one aggregate per solve.
