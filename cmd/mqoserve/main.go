@@ -81,7 +81,7 @@ func main() {
 		capacity = flag.Int("capacity", 0, "override device variable capacity (0 = device default)")
 		runs     = flag.Int("runs", 16, "default annealing runs per (partial) problem")
 		sweeps   = flag.Int("sweeps", 0, "default total annealing iteration budget (0 = device default)")
-		parallel = flag.Int("parallelism", 0, "total worker-goroutine budget per solve, divided across the fleet (0 = GOMAXPROCS)")
+		parallel = flag.Int("parallelism", 0, "worker goroutines each solve may use, whatever the fleet size (0 = GOMAXPROCS, negative = sequential)")
 
 		deadline    = flag.Duration("deadline", time.Minute, "default per-request deadline (queue wait + solve)")
 		maxDeadline = flag.Duration("max-deadline", 10*time.Minute, "cap on client-requested deadlines")

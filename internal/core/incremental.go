@@ -223,13 +223,9 @@ func incrementalOverSubProblems(ctx context.Context, p *mqo.Problem, subs []*mqo
 
 // solveWhole solves an unpartitioned problem directly on the device.
 func solveWhole(ctx context.Context, p *mqo.Problem, opt Options, strategy string, start time.Time) (*Outcome, error) {
-	sub, err := mqo.Extract(p, allQueries(p))
-	if err != nil {
-		return nil, err
-	}
 	var tm PhaseTimings
 	_, ph := obs.StartPhase(ctx, "encode")
-	pp, err := encoding.PrepareMQO(sub.Local)
+	pp, err := encoding.PrepareMQO(p)
 	if err != nil {
 		return nil, err
 	}
@@ -242,15 +238,11 @@ func solveWhole(ctx context.Context, p *mqo.Problem, opt Options, strategy strin
 			return nil, err
 		}
 		var d Degradation
-		best, d = degrade(ctx, sub.Local, -1, opt.Device.Name(), err)
+		best, d = degrade(ctx, p, -1, opt.Device.Name(), err)
 		degs = append(degs, d)
 	}
 	tm.Anneal, tm.Decode = st.anneal, st.decode
-	global, err := sub.ToGlobal(p, best)
-	if err != nil {
-		return nil, err
-	}
-	out, err := finalize(p, global, strategy, start)
+	out, err := finalize(p, best, strategy, start)
 	if err != nil {
 		return nil, err
 	}
@@ -259,12 +251,4 @@ func solveWhole(ctx context.Context, p *mqo.Problem, opt Options, strategy strin
 	out.Timings = tm
 	out.Degradations = degs
 	return out, nil
-}
-
-func allQueries(p *mqo.Problem) []int {
-	qs := make([]int, p.NumQueries())
-	for i := range qs {
-		qs[i] = i
-	}
-	return qs
 }

@@ -48,9 +48,21 @@ func Extract(parent *Problem, queries []int) (*SubProblem, error) {
 			return nil, fmt.Errorf("mqo: duplicate query %d in sub-problem", q)
 		}
 	}
+	nPlans := 0
+	for _, q := range qs {
+		nPlans += len(parent.Plans(q))
+	}
 	sub := &SubProblem{
-		Queries:   qs,
-		planLocal: make(map[int]int),
+		Queries:    qs,
+		PlanGlobal: make([]int, 0, nPlans),
+		planLocal:  make(map[int]int, nPlans),
+	}
+	// localOf[pl] is parent plan pl's local index, or -1 outside the
+	// subset. The savings scan below runs once per parent saving, and a
+	// dense index keeps map lookups out of it.
+	localOf := make([]int32, parent.NumPlans())
+	for i := range localOf {
+		localOf[i] = -1
 	}
 	planCosts := make([][]float64, len(qs))
 	for lq, q := range qs {
@@ -58,19 +70,34 @@ func Extract(parent *Problem, queries []int) (*SubProblem, error) {
 		costs := make([]float64, len(plans))
 		for i, pl := range plans {
 			costs[i] = parent.Cost(pl)
+			localOf[pl] = int32(len(sub.PlanGlobal))
 			sub.planLocal[pl] = len(sub.PlanGlobal)
 			sub.PlanGlobal = append(sub.PlanGlobal, pl)
 		}
 		planCosts[lq] = costs
 	}
-	var local []Saving
-	for _, sv := range parent.Savings() {
-		l1, in1 := sub.planLocal[sv.P1]
-		l2, in2 := sub.planLocal[sv.P2]
+	savings := parent.Savings()
+	nLocal, nDiscarded := 0, 0
+	for _, sv := range savings {
+		in1, in2 := localOf[sv.P1] >= 0, localOf[sv.P2] >= 0
 		switch {
 		case in1 && in2:
-			local = append(local, Saving{P1: l1, P2: l2, Value: sv.Value})
+			nLocal++
 		case in1 != in2:
+			nDiscarded++
+		}
+	}
+	local := make([]Saving, 0, nLocal)
+	// Discarded stays nil when the subset loses no saving.
+	if nDiscarded > 0 {
+		sub.Discarded = make([]Saving, 0, nDiscarded)
+	}
+	for _, sv := range savings {
+		l1, l2 := localOf[sv.P1], localOf[sv.P2]
+		switch {
+		case l1 >= 0 && l2 >= 0:
+			local = append(local, Saving{P1: int(l1), P2: int(l2), Value: sv.Value})
+		case (l1 >= 0) != (l2 >= 0):
 			sub.Discarded = append(sub.Discarded, sv)
 		}
 	}

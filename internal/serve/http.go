@@ -356,7 +356,7 @@ func (s *Server) prepareJob(req *SolveRequest, id string, ctx context.Context) (
 			Runs:        runs,
 			TotalSweeps: sweeps,
 			Seed:        req.Options.Seed,
-			Parallelism: s.perSolveParallelism(),
+			Parallelism: s.cfg.Parallelism,
 			DisableDSS:  req.Options.DisableDSS,
 		},
 		strategy: strategy,

@@ -13,9 +13,10 @@
 //     per-device middleware stacks (resilience retry/timeout/breaker
 //     state is per fleet slot) — pulls admitted jobs off the queue. The
 //     fleet size bounds concurrent solves exactly like
-//     solver.ForEachRun's worker cap bounds concurrent runs; each solve's
-//     own Request.Parallelism is divided across the fleet so a loaded
-//     server does not oversubscribe the host.
+//     solver.ForEachRun's worker cap bounds concurrent runs. Each solve
+//     may use the whole Config.Parallelism, so a lone request uses every
+//     core of an idle host; when solves overlap, the Go scheduler shares
+//     the cores between them.
 //   - Streaming sessions. Each job runs as a core.Session, so clients can
 //     consume the incumbent trajectory (one point per merged partial
 //     problem — the PR 4 convergence data) as NDJSON while the solve is
@@ -93,10 +94,10 @@ type Config struct {
 	// Seed drives the resilience middleware's deterministic backoff
 	// jitter (never results).
 	Seed int64
-	// Parallelism is the total worker-goroutine budget per solve,
-	// divided across the fleet so concurrent solves do not oversubscribe
-	// the host: each solve gets Workers(Parallelism)/Fleet (minimum
-	// sequential). Zero means GOMAXPROCS. Results are identical for any
+	// Parallelism caps the worker goroutines of each solve, in the
+	// core.Options encoding: zero means GOMAXPROCS, negative sequential.
+	// Every solve gets the whole cap, whatever the fleet size; Fleet
+	// bounds how many solves run at once. Results are identical for any
 	// setting.
 	Parallelism int
 	// CacheEntries enables the cross-solve cache shared by the whole
@@ -421,18 +422,6 @@ func (s *Server) newStack(primary string, slot int) (solver.Solver, error) {
 		BreakerThreshold: s.cfg.Breaker,
 		Seed:             s.cfg.Seed + int64(slot)*7919,
 	}), nil
-}
-
-// perSolveParallelism divides the server's worker budget across the
-// fleet, so Fleet concurrent solves together use about Parallelism
-// goroutines. Minimum is sequential (-1 in the solver.Workers encoding);
-// results never depend on the split.
-func (s *Server) perSolveParallelism() int {
-	share := solver.Workers(s.cfg.Parallelism) / s.cfg.fleet()
-	if share < 1 {
-		return -1
-	}
-	return share
 }
 
 // worker is one fleet slot: it pulls admitted jobs off the queue and runs

@@ -555,3 +555,47 @@ func TestConcurrentLoadDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// parallelismRecorder records the Request.Parallelism of every Solve it
+// forwards, so a test can read the worker budget a served solve handed its
+// device.
+type parallelismRecorder struct {
+	solver.Solver
+	mu   sync.Mutex
+	seen []int
+}
+
+func (pr *parallelismRecorder) Solve(ctx context.Context, req solver.Request) (*solver.Result, error) {
+	pr.mu.Lock()
+	pr.seen = append(pr.seen, req.Parallelism)
+	pr.mu.Unlock()
+	return pr.Solver.Solve(ctx, req)
+}
+
+// TestLoneSolveGetsWholeParallelism pins that a served solve is capped by
+// the server's Parallelism, not by a per-slot share of it: a lone request
+// on a 2-slot fleet hands its device all 4 workers.
+func TestLoneSolveGetsWholeParallelism(t *testing.T) {
+	rec := &parallelismRecorder{Solver: &da.Solver{}}
+	_, ts := newTestServer(t, Config{
+		Fleet: 2, Parallelism: 4,
+		NewDevice: func(string, int) (solver.Solver, error) { return rec, nil },
+	})
+	resp, body := postSolve(t, ts.URL, SolveRequest{
+		Problem: testProblem(t, 17),
+		Options: SolveOptions{Runs: 4, TotalSweeps: 400, Seed: 3},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if len(rec.seen) == 0 {
+		t.Fatal("the device never solved")
+	}
+	for _, par := range rec.seen {
+		if par != 4 {
+			t.Fatalf("device saw Parallelism %v, want 4 on every call", rec.seen)
+		}
+	}
+}
