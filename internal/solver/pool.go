@@ -1,12 +1,66 @@
 package solver
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"incranneal/internal/obs"
+	"incranneal/internal/qubo"
 )
+
+// Runs executes a device's independent runs and collects their samples. It
+// is the one place where runs are seeded, dispatched, traced and collected;
+// a device supplies only anneal, its per-run kernel.
+//
+// Every run's seed derives from req.Seed (RunSeeds) before dispatch, and
+// every run builds its own RNG from that seed and its start state from
+// InitialState, so Samples are identical for every Parallelism and with or
+// without an observability sink. Run 0 always executes, so the Result holds
+// at least one sample; later runs are skipped once ctx is done, and anneal
+// must itself return its best-so-far sample promptly when ctx is done. The
+// result's Samples are sorted and its Sweeps sums the sweeps anneal reports
+// for the runs performed. device names the runs in trace events.
+func Runs(ctx context.Context, req Request, device string, runs int, anneal func(st *qubo.State, rng *rand.Rand, rt *obs.RunTrace) (Sample, int)) *Result {
+	sink := obs.FromContext(ctx)
+	label := ""
+	if sink.Enabled() {
+		label = obs.LabelFromContext(ctx)
+	}
+	seeds := RunSeeds(req.Seed, runs)
+	samples := make([]Sample, runs)
+	sweeps := make([]int, runs)
+	done := make([]bool, runs)
+	body := func(run int) {
+		if run > 0 && Interrupted(ctx) {
+			return
+		}
+		rt := sink.StartRun(device, label, run)
+		rng := rand.New(rand.NewSource(seeds[run]))
+		st := InitialState(req, run, runs, rng)
+		samples[run], sweeps[run] = anneal(st, rng, rt)
+		done[run] = true
+	}
+	workers := Workers(req.Parallelism)
+	if sink.Enabled() {
+		ps := ForEachRunStats(runs, workers, body)
+		sink.Pool(device, label, ps.Runs, ps.Workers, ps.Busy, ps.Wall)
+	} else {
+		ForEachRun(runs, workers, body)
+	}
+	res := &Result{}
+	for run, ok := range done {
+		if ok {
+			res.Samples = append(res.Samples, samples[run])
+			res.Sweeps += sweeps[run]
+		}
+	}
+	res.SortSamples()
+	return res
+}
 
 // Workers resolves a request's Parallelism field into a worker count:
 // positive values are honoured as given, zero falls back to GOMAXPROCS
