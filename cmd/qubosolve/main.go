@@ -43,9 +43,15 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	req := solver.Request{Model: m, Runs: *runs, Sweeps: *sweeps, Seed: *seed, TimeBudget: *timeout}
+	ctx := context.Background()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
+	req := solver.Request{Model: m, Runs: *runs, Sweeps: *sweeps, Seed: *seed}
 	start := time.Now()
-	res, name, err := solve(context.Background(), *device, req)
+	res, name, err := solve(ctx, *device, req)
 	if err != nil {
 		fail(err)
 	}

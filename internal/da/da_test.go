@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"incranneal/internal/encoding"
 	"incranneal/internal/mqo"
@@ -158,6 +159,39 @@ func TestSolveLargeHonoursParallelism(t *testing.T) {
 	}
 	if pools == 0 {
 		t.Fatal("traced SolveLarge emitted no pool events")
+	}
+}
+
+// TestSolveLargeHonoursDeadline pins that a context deadline bounds the
+// vendor decomposition: the deadline reaches every block solve, and the
+// solve returns its best-so-far assignment instead of working through a
+// step budget worth minutes.
+func TestSolveLargeHonoursDeadline(t *testing.T) {
+	m := obsBenchModel(400)
+	s := &Solver{CapacityVars: 160}
+	if len(s.blockVariables(m)) < 2 {
+		t.Fatal("model does not decompose")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	res, err := s.SolveLarge(ctx, solver.Request{Model: m, Runs: 16, Sweeps: 6_000_000, Seed: 8, Parallelism: -1})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best, ok := res.Best()
+	if !ok {
+		t.Fatal("no best-so-far sample")
+	}
+	if len(best.Assignment) != m.NumVariables() {
+		t.Fatalf("assignment length %d, want %d", len(best.Assignment), m.NumVariables())
+	}
+	if e := m.Energy(best.Assignment); math.Abs(e-best.Energy) > 1e-6*math.Max(1, math.Abs(e)) {
+		t.Errorf("reported energy %v, recomputed %v", best.Energy, e)
+	}
+	if elapsed > 3*time.Second {
+		t.Errorf("SolveLarge ran %v past a 30ms deadline", elapsed)
 	}
 }
 

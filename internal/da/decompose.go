@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"sort"
-	"time"
 
 	"incranneal/internal/qubo"
 	"incranneal/internal/solver"
@@ -38,7 +37,6 @@ func (s *Solver) SolveLarge(ctx context.Context, req solver.Request) (*solver.Re
 	if m.NumVariables() <= s.Capacity() {
 		return s.Solve(ctx, req)
 	}
-	start := time.Now()
 	blocks := s.blockVariables(m)
 	rounds := 3
 	// Keep the overall annealing budget identical to a direct solve, as
@@ -104,12 +102,10 @@ func (s *Solver) SolveLarge(ctx context.Context, req solver.Request) (*solver.Re
 			break
 		}
 	}
-	res := &solver.Result{
+	return &solver.Result{
 		Samples: []solver.Sample{{Assignment: best.Assignment(), Energy: best.Energy()}},
 		Sweeps:  sweeps,
-		Elapsed: time.Since(start),
-	}
-	return res, nil
+	}, nil
 }
 
 // blockVariables greedily grows variable blocks of at most the device

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"incranneal/internal/obs"
 	"incranneal/internal/qubo"
@@ -59,7 +58,7 @@ func TestDisabledSinkAnnealNoPerStepAllocs(t *testing.T) {
 		prm := s.newRunParams(m, steps)
 		return testing.AllocsPerRun(10, func() {
 			rng := rand.New(rand.NewSource(3))
-			s.anneal(ctx, m, prm, qubo.NewRandomState(m, rng), rng, time.Time{}, nil)
+			s.anneal(ctx, m, prm, qubo.NewRandomState(m, rng), rng, nil)
 		})
 	}
 	short, long := annealAllocs(100), annealAllocs(4000)
