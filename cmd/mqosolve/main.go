@@ -234,7 +234,7 @@ func run(ctx context.Context, algorithm string, p *mqo.Problem, capacity, runs, 
 		copt.Device = wrap(&da.Solver{})
 		return annealOutcome(core.SolveDefault(ctx, p, copt))
 	case "da-pt":
-		copt.Device = wrap(&ptSolver{Solver: &da.Solver{}})
+		copt.Device = wrap(&da.PT{Solver: &da.Solver{}})
 		return annealOutcome(core.SolveIncremental(ctx, p, copt))
 	case "va":
 		copt.Device = wrap(&va.Solver{})
@@ -285,12 +285,4 @@ func readProblem(path string) (*mqo.Problem, error) {
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "mqosolve:", err)
 	os.Exit(1)
-}
-
-// ptSolver routes Solve through the Digital Annealer's parallel-tempering
-// mode so the pipeline can use it as a drop-in device.
-type ptSolver struct{ *da.Solver }
-
-func (s *ptSolver) Solve(ctx context.Context, req solver.Request) (*solver.Result, error) {
-	return s.SolvePT(ctx, req)
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -23,7 +22,7 @@ func DeviceByName(name string, daCapacity int) (solver.Solver, error) {
 	case "da":
 		return &da.Solver{CapacityVars: daCapacity}, nil
 	case "da-pt":
-		return &ptDevice{Solver: &da.Solver{CapacityVars: daCapacity}}, nil
+		return &da.PT{Solver: &da.Solver{CapacityVars: daCapacity}}, nil
 	case "sa":
 		return &sa.Solver{}, nil
 	case "hqa":
@@ -33,13 +32,6 @@ func DeviceByName(name string, daCapacity int) (solver.Solver, error) {
 	default:
 		return nil, fmt.Errorf("unknown device %q (want da, da-pt, sa, hqa or va)", name)
 	}
-}
-
-// ptDevice routes Solve through the DA's parallel-tempering mode.
-type ptDevice struct{ *da.Solver }
-
-func (s *ptDevice) Solve(ctx context.Context, req solver.Request) (*solver.Result, error) {
-	return s.SolvePT(ctx, req)
 }
 
 // MiddlewareSpec captures the resilience and fault-injection CLI flags

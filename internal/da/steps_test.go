@@ -21,11 +21,6 @@ func TestStepBudgetDefaults(t *testing.T) {
 	if got := s.steps(solver.Request{Model: modelOf(10), Sweeps: 123}); got != 123 {
 		t.Errorf("explicit sweeps = %d, want 123", got)
 	}
-	// Solver default wins next.
-	s2 := &Solver{DefaultSteps: 777}
-	if got := s2.steps(solver.Request{Model: modelOf(10)}); got != 777 {
-		t.Errorf("solver default = %d, want 777", got)
-	}
 	// Derived budget: 20·n clamped to [2,000, 60,000].
 	if got := s.steps(solver.Request{Model: modelOf(10)}); got != 2000 {
 		t.Errorf("small-model floor = %d, want 2000", got)
@@ -45,10 +40,6 @@ func TestRunsDefaults(t *testing.T) {
 	}
 	if got := s.runs(solver.Request{Runs: 3}); got != 3 {
 		t.Errorf("explicit runs = %d, want 3", got)
-	}
-	s.DefaultRuns = 5
-	if got := s.runs(solver.Request{}); got != 5 {
-		t.Errorf("solver default runs = %d, want 5", got)
 	}
 }
 

@@ -255,3 +255,34 @@ func (m *Model) MaxAbsCoefficient() float64 {
 	}
 	return mx
 }
+
+// DeltaRange bounds the magnitude of a single flip's energy change:
+// largest is the largest |c_ii| + Σ_j |c_ij| over the variables, smallest
+// the smallest non-zero |c|. Each is 1 when the model has no non-zero
+// coefficient. The annealers scale their temperature schedules to it.
+func (m *Model) DeltaRange() (largest, smallest float64) {
+	smallest = math.Inf(1)
+	incident := make([]float64, m.n)
+	for _, t := range m.terms {
+		a := math.Abs(t.Coeff)
+		incident[t.I] += a
+		incident[t.J] += a
+		if a > 0 && a < smallest {
+			smallest = a
+		}
+	}
+	for i, c := range m.linear {
+		l := math.Abs(c)
+		if l > 0 && l < smallest {
+			smallest = l
+		}
+		largest = math.Max(largest, l+incident[i])
+	}
+	if largest == 0 {
+		largest = 1
+	}
+	if math.IsInf(smallest, 1) {
+		smallest = 1
+	}
+	return largest, smallest
+}

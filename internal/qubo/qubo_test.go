@@ -151,6 +151,22 @@ func TestMaxAbsCoefficient(t *testing.T) {
 	}
 }
 
+func TestDeltaRange(t *testing.T) {
+	b := NewBuilder(4)
+	b.AddLinear(0, -1.5)
+	b.AddLinear(1, 0.25)
+	b.AddQuadratic(0, 1, 2)
+	b.AddQuadratic(1, 2, -3)
+	largest, smallest := b.Build().DeltaRange()
+	// Variable 1: |0.25| + |2| + |−3|; variable 3 has no coefficient.
+	if largest != 5.25 || smallest != 0.25 {
+		t.Errorf("DeltaRange = (%v, %v), want (5.25, 0.25)", largest, smallest)
+	}
+	if largest, smallest := NewBuilder(2).Build().DeltaRange(); largest != 1 || smallest != 1 {
+		t.Errorf("all-zero DeltaRange = (%v, %v), want (1, 1)", largest, smallest)
+	}
+}
+
 func TestClampedSubModelEnergyAlignment(t *testing.T) {
 	// For fixed outside variables, sub-model energy differences must equal
 	// global energy differences.

@@ -354,7 +354,7 @@ func TestWrapNoFaultBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wrapped := Wrap([]solver.Solver{&sa.Solver{}, &sa.Solver{BetaHot: 0.01}}, Config{
+		wrapped := Wrap([]solver.Solver{&sa.Solver{}, &sa.Solver{}}, Config{
 			Retries: 3, SolveTimeout: time.Minute, BreakerThreshold: 2, Seed: 5,
 		})
 		got, err := wrapped.Solve(context.Background(), req)

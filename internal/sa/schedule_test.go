@@ -35,8 +35,7 @@ func TestBetaRangeOrdering(t *testing.T) {
 	b.AddQuadratic(1, 2, -0.25)
 	b.AddQuadratic(2, 3, 12)
 	m := b.Build()
-	s := &Solver{}
-	hot, cold := s.betaRange(m)
+	hot, cold := betaRange(m)
 	if hot <= 0 || cold <= hot {
 		t.Errorf("betaRange = (%v, %v), want 0 < hot < cold", hot, cold)
 	}
@@ -50,8 +49,7 @@ func TestBetaRangeOrdering(t *testing.T) {
 func TestBetaRangeDegenerateModel(t *testing.T) {
 	// All-zero coefficients must still produce a usable range.
 	m := qubo.NewBuilder(3).Build()
-	s := &Solver{}
-	hot, cold := s.betaRange(m)
+	hot, cold := betaRange(m)
 	if !(hot > 0 && cold > hot) {
 		t.Errorf("degenerate betaRange = (%v, %v)", hot, cold)
 	}

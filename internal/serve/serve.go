@@ -379,7 +379,7 @@ func (c Config) newRawDevice(name string) (solver.Solver, error) {
 	case "", "da":
 		return &da.Solver{CapacityVars: c.Capacity}, nil
 	case "da-pt":
-		return &ptDevice{Solver: &da.Solver{CapacityVars: c.Capacity}}, nil
+		return &da.PT{Solver: &da.Solver{CapacityVars: c.Capacity}}, nil
 	case "sa":
 		return &sa.Solver{}, nil
 	case "hqa":
@@ -389,13 +389,6 @@ func (c Config) newRawDevice(name string) (solver.Solver, error) {
 	default:
 		return nil, fmt.Errorf("serve: unknown device %q (want da, da-pt, sa, hqa or va)", name)
 	}
-}
-
-// ptDevice routes Solve through the DA's parallel-tempering mode.
-type ptDevice struct{ *da.Solver }
-
-func (s *ptDevice) Solve(ctx context.Context, req solver.Request) (*solver.Result, error) {
-	return s.SolvePT(ctx, req)
 }
 
 // newStack builds the full per-device middleware stack for one fleet
