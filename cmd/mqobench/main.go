@@ -59,6 +59,8 @@ import (
 	"time"
 
 	"incranneal/internal/bench"
+	"incranneal/internal/devices"
+	"incranneal/internal/faultinject"
 	"incranneal/internal/obs"
 )
 
@@ -77,7 +79,7 @@ func main() {
 		retries      = flag.Int("retries", 0, "re-attempts per device solve on transient failures (0 = no retry layer)")
 		solveTimeout = flag.Duration("solve-timeout", 0, "per-solve deadline; expiry keeps the device's best-so-far samples (0 = none)")
 		breaker      = flag.Int("breaker", 0, "consecutive solve failures tripping the per-device circuit breaker (0 = no breaker)")
-		fallback     = flag.String("fallback", "", "comma-separated fallback devices tried after the primary (da, da-pt, sa, hqa, va)")
+		fallback     = flag.String("fallback", "", "comma-separated fallback devices tried after the primary ("+strings.Join(devices.Names, ", ")+")")
 		injectFaults = flag.String("inject-faults", "", "deterministic fault schedule for every primary device, e.g. transient-first=2,terminal-after=4")
 		failFast     = flag.Bool("fail-fast", false, "abort a run on terminal device failure instead of degrading to greedy repair")
 	)
@@ -92,19 +94,22 @@ func main() {
 		cfg.TimeBudget = *timeout
 	}
 	cfg.Parallelism = *workers
-	mw, err := bench.MiddlewareSpec{
-		Retries:      *retries,
-		SolveTimeout: *solveTimeout,
-		Breaker:      *breaker,
-		Fallback:     *fallback,
-		InjectFaults: *injectFaults,
-		Seed:         1,
-		DACapacity:   cfg.DACapacity,
-	}.Middleware()
+	faults, err := faultinject.ParseSpec(*injectFaults)
 	if err != nil {
 		fail(err)
 	}
-	cfg.Middleware = mw
+	cfg.Middleware, err = devices.Stack{
+		Retries:      *retries,
+		SolveTimeout: *solveTimeout,
+		Breaker:      *breaker,
+		Fallback:     devices.SplitNames(*fallback),
+		Faults:       faults,
+		Seed:         1,
+		Capacity:     cfg.DACapacity,
+	}.Middleware(devices.New)
+	if err != nil {
+		fail(err)
+	}
 	cfg.FailFast = *failFast
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -68,6 +68,7 @@ import (
 	"syscall"
 	"time"
 
+	"incranneal/internal/devices"
 	"incranneal/internal/obs"
 	"incranneal/internal/serve"
 )
@@ -77,7 +78,7 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		fleet    = flag.Int("fleet", 2, "solver workers (maximum concurrent solves)")
 		queue    = flag.Int("queue", 64, "admission queue depth; beyond it requests get 503 + Retry-After")
-		device   = flag.String("device", "da", "default annealing device: da, da-pt, sa, hqa, va (requests may override)")
+		device   = flag.String("device", "da", "default annealing device: "+strings.Join(devices.Names, ", ")+" (requests may override)")
 		capacity = flag.Int("capacity", 0, "override device variable capacity (0 = device default)")
 		runs     = flag.Int("runs", 16, "default annealing runs per (partial) problem")
 		sweeps   = flag.Int("sweeps", 0, "default total annealing iteration budget (0 = device default)")
@@ -91,7 +92,7 @@ func main() {
 		retries      = flag.Int("retries", 0, "re-attempts per device solve on transient failures (0 = no retry layer)")
 		solveTimeout = flag.Duration("solve-timeout", 0, "per-device-solve deadline; expiry keeps best-so-far samples (0 = none)")
 		breaker      = flag.Int("breaker", 0, "consecutive solve failures tripping the per-device circuit breaker (0 = no breaker)")
-		fallback     = flag.String("fallback", "", "comma-separated fallback devices tried after the primary (da, da-pt, sa, hqa, va)")
+		fallback     = flag.String("fallback", "", "comma-separated fallback devices tried after the primary ("+strings.Join(devices.Names, ", ")+")")
 		seed         = flag.Int64("seed", 1, "seed for the resilience middleware's deterministic backoff jitter")
 
 		cacheEntries = flag.Int("cache-entries", 0, "cross-solve cache bound: distinct problem structures kept for partitioning/skeleton reuse, shared by the fleet (0 = caching off, -1 = default bound)")
@@ -137,18 +138,11 @@ func main() {
 		}()
 	}
 
-	var fallbacks []string
-	for _, fb := range strings.Split(*fallback, ",") {
-		if fb = strings.TrimSpace(fb); fb != "" {
-			fallbacks = append(fallbacks, fb)
-		}
-	}
-
 	srv, err := serve.New(serve.Config{
 		QueueDepth:      *queue,
 		Fleet:           *fleet,
 		Device:          *device,
-		Fallback:        fallbacks,
+		Fallback:        devices.SplitNames(*fallback),
 		Capacity:        *capacity,
 		DefaultRuns:     *runs,
 		DefaultSweeps:   *sweeps,

@@ -17,20 +17,19 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"incranneal/internal/da"
-	"incranneal/internal/hqa"
+	"incranneal/internal/devices"
 	"incranneal/internal/qubo"
-	"incranneal/internal/sa"
 	"incranneal/internal/solver"
-	"incranneal/internal/va"
 )
 
 func main() {
 	var (
 		in       = flag.String("in", "-", ".qubo file (\"-\" for stdin)")
-		device   = flag.String("device", "da", "device: da, da-pt, da-large, va, hqa or sa")
+		device   = flag.String("device", "da", "device: "+strings.Join(devices.Names, ", ")+" or da-large (the DA's vendor decomposition)")
 		runs     = flag.Int("runs", 16, "independent runs")
 		sweeps   = flag.Int("sweeps", 0, "iteration budget (0 = device default)")
 		seed     = flag.Int64("seed", 1, "random seed")
@@ -51,7 +50,7 @@ func main() {
 	}
 	req := solver.Request{Model: m, Runs: *runs, Sweeps: *sweeps, Seed: *seed}
 	start := time.Now()
-	res, name, err := solve(ctx, *device, req)
+	res, err := solve(ctx, *device, req)
 	if err != nil {
 		fail(err)
 	}
@@ -59,7 +58,7 @@ func main() {
 	if !ok {
 		fail(fmt.Errorf("device returned no samples"))
 	}
-	fmt.Printf("device:    %s\n", name)
+	fmt.Printf("device:    %s\n", *device)
 	fmt.Printf("variables: %d (%d quadratic terms)\n", m.NumVariables(), m.NumTerms())
 	fmt.Printf("energy:    %g\n", best.Energy)
 	fmt.Printf("samples:   %d\n", len(res.Samples))
@@ -74,35 +73,17 @@ func main() {
 	}
 }
 
-func solve(ctx context.Context, device string, req solver.Request) (*solver.Result, string, error) {
-	switch device {
-	case "da":
-		s := &da.Solver{}
-		res, err := s.Solve(ctx, req)
-		return res, "Digital Annealer (annealing mode)", err
-	case "da-pt":
-		s := &da.Solver{}
-		res, err := s.SolvePT(ctx, req)
-		return res, "Digital Annealer (parallel tempering)", err
-	case "da-large":
-		s := &da.Solver{}
-		res, err := s.SolveLarge(ctx, req)
-		return res, "Digital Annealer (vendor decomposition)", err
-	case "va":
-		s := &va.Solver{}
-		res, err := s.Solve(ctx, req)
-		return res, "Vector Annealer", err
-	case "hqa":
-		s := &hqa.Solver{}
-		res, err := s.Solve(ctx, req)
-		return res, "Hybrid Quantum Annealer", err
-	case "sa":
-		s := &sa.Solver{}
-		res, err := s.Solve(ctx, req)
-		return res, "Simulated Annealing", err
-	default:
-		return nil, "", fmt.Errorf("unknown device %q", device)
+// solve runs req on the named catalogue device, or on the DA's vendor
+// decomposition for da-large.
+func solve(ctx context.Context, device string, req solver.Request) (*solver.Result, error) {
+	if device == "da-large" {
+		return (&da.Solver{}).SolveLarge(ctx, req)
 	}
+	dev, err := devices.New(device, 0)
+	if err != nil {
+		return nil, err
+	}
+	return dev.Solve(ctx, req)
 }
 
 func readModel(path string) (*qubo.Model, error) {

@@ -328,7 +328,7 @@ func (s *Server) prepareJob(req *SolveRequest, id string, ctx context.Context) (
 	if device == "" {
 		device = s.cfg.device()
 	}
-	if _, err := s.cfg.newRawDevice(device); err != nil {
+	if _, err := s.cfg.newRawDevice(device, s.cfg.Capacity); err != nil {
 		return nil, err
 	}
 	defPriority, _ := parsePriority(s.cfg.DefaultPriority, priorityNormal)

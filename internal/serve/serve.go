@@ -35,22 +35,17 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"incranneal/internal/core"
-	"incranneal/internal/da"
+	"incranneal/internal/devices"
 	"incranneal/internal/faultinject"
-	"incranneal/internal/hqa"
 	"incranneal/internal/mqo"
 	"incranneal/internal/obs"
-	"incranneal/internal/resilience"
-	"incranneal/internal/sa"
 	"incranneal/internal/solvecache"
 	"incranneal/internal/solver"
-	"incranneal/internal/va"
 )
 
 // Config parameterises a Server. The zero value is usable: a 2-worker DA
@@ -275,11 +270,11 @@ type Server struct {
 // to accept requests. The returned server must eventually be Shutdown to
 // stop the fleet.
 func New(cfg Config) (*Server, error) {
-	if _, err := cfg.newRawDevice(cfg.device()); err != nil {
+	if _, err := cfg.newRawDevice(cfg.device(), cfg.Capacity); err != nil {
 		return nil, err
 	}
 	for _, fb := range cfg.Fallback {
-		if _, err := cfg.newRawDevice(fb); err != nil {
+		if _, err := cfg.newRawDevice(fb, cfg.Capacity); err != nil {
 			return nil, fmt.Errorf("fallback: %w", err)
 		}
 	}
@@ -370,25 +365,13 @@ func (s *Server) replayOrphans(orphans []journalRecord) {
 	}()
 }
 
-// newRawDevice constructs one bare device by name.
-func (c Config) newRawDevice(name string) (solver.Solver, error) {
+// newRawDevice constructs one bare device by name: the NewDevice hook if
+// set, else the device catalogue.
+func (c Config) newRawDevice(name string, capacity int) (solver.Solver, error) {
 	if c.NewDevice != nil {
-		return c.NewDevice(name, c.Capacity)
+		return c.NewDevice(name, capacity)
 	}
-	switch strings.TrimSpace(name) {
-	case "", "da":
-		return &da.Solver{CapacityVars: c.Capacity}, nil
-	case "da-pt":
-		return &da.PT{Solver: &da.Solver{CapacityVars: c.Capacity}}, nil
-	case "sa":
-		return &sa.Solver{}, nil
-	case "hqa":
-		return &hqa.Solver{}, nil
-	case "va":
-		return &va.Solver{}, nil
-	default:
-		return nil, fmt.Errorf("serve: unknown device %q (want da, da-pt, sa, hqa or va)", name)
-	}
+	return devices.New(name, capacity)
 }
 
 // newStack builds the full per-device middleware stack for one fleet
@@ -396,25 +379,22 @@ func (c Config) newRawDevice(name string) (solver.Solver, error) {
 // Breaker and retry state live inside the returned stack, so each worker
 // owning its own stacks keeps device health tracking per fleet slot.
 func (s *Server) newStack(primary string, slot int) (solver.Solver, error) {
-	devs := make([]solver.Solver, 0, 1+len(s.cfg.Fallback))
-	prim, err := s.cfg.newRawDevice(primary)
+	mw, err := devices.Stack{
+		Retries:      s.cfg.Retries,
+		SolveTimeout: s.cfg.SolveTimeout,
+		Breaker:      s.cfg.Breaker,
+		Fallback:     s.cfg.Fallback,
+		Seed:         s.cfg.Seed + int64(slot)*7919,
+		Capacity:     s.cfg.Capacity,
+	}.Middleware(s.cfg.newRawDevice)
 	if err != nil {
 		return nil, err
 	}
-	devs = append(devs, prim)
-	for _, fb := range s.cfg.Fallback {
-		dev, err := s.cfg.newRawDevice(fb)
-		if err != nil {
-			return nil, err
-		}
-		devs = append(devs, dev)
+	dev, err := s.cfg.newRawDevice(primary, s.cfg.Capacity)
+	if err != nil {
+		return nil, err
 	}
-	return resilience.Wrap(devs, resilience.Config{
-		Retries:          s.cfg.Retries,
-		SolveTimeout:     s.cfg.SolveTimeout,
-		BreakerThreshold: s.cfg.Breaker,
-		Seed:             s.cfg.Seed + int64(slot)*7919,
-	}), nil
+	return mw(dev), nil
 }
 
 // worker is one fleet slot: it pulls admitted jobs off the queue and runs
