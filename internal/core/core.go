@@ -25,7 +25,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"incranneal/internal/encoding"
@@ -390,9 +389,8 @@ func parallelism(o Options) int {
 // distributing the remainder one worker each over the first budget mod n
 // solves (the partitionSweeps discipline) so the shares sum exactly to the
 // budget whenever n <= workers. Shares that would round to zero become -1 —
-// the solver.Workers encoding for "sequential" — and boundedGroup's
-// concurrency cap keeps the goroutine total at the budget in that regime
-// too. Results never depend on the split: per-run seeds are pre-derived.
+// the solver.Workers encoding for "sequential" — and ForEachRun's worker
+// cap keeps the goroutine total at the budget in that regime too. Results never depend on the split: per-run seeds are pre-derived.
 func splitWorkers(workers, n int) []int {
 	if n < 1 {
 		return nil
@@ -410,40 +408,4 @@ func splitWorkers(workers, n int) []int {
 		share[i] = w
 	}
 	return share
-}
-
-// boundedGroup runs fn(0), …, fn(n-1) with at most limit concurrent
-// goroutines and returns the first error; every call runs regardless. A
-// lone call, or a limit of one, runs inline on the calling goroutine, so a
-// one-sub wave costs no more than a step of the sequential chain.
-func boundedGroup(limit, n int, fn func(i int) error) error {
-	var firstErr error
-	if n == 1 || limit <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
-	sem := make(chan struct{}, limit)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := fn(i); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
 }

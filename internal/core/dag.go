@@ -11,6 +11,7 @@ import (
 	"incranneal/internal/encoding"
 	"incranneal/internal/mqo"
 	"incranneal/internal/obs"
+	"incranneal/internal/solver"
 )
 
 // This file implements the wave executor, the one loop that solves, merges,
@@ -217,6 +218,7 @@ func runWaves(ctx context.Context, p *mqo.Problem, subs []*mqo.SubProblem, preps
 	sweepCounts := make([]int, n)
 	subTms := make([]subTimings, n)
 	degs := make([]*Degradation, n)
+	errs := make([]error, n)
 	encNanos := make([]int64, n)
 	// Speculative materialisations run while the device anneals, so their
 	// time adds phase work without wall-clock.
@@ -311,12 +313,16 @@ func runWaves(ctx context.Context, p *mqo.Problem, subs []*mqo.SubProblem, preps
 		}
 		waveCtx, ph := obs.StartPhaseIndexed(waveCtx, "wave", w)
 		split := splitWorkers(workers, len(wave))
-		err := boundedGroup(workers, len(wave), func(wi int) error {
-			return solveNode(waveCtx, wave[wi], split[wi])
+		solver.ForEachRun(len(wave), workers, func(wi int) {
+			errs[wave[wi]] = solveNode(waveCtx, wave[wi], split[wi])
 		})
 		specWG.Wait()
-		if err != nil {
-			return 0, 0, nil, err
+		// The lowest failing node's error wins, whatever order the wave's
+		// solves finished in.
+		for _, node := range wave {
+			if errs[node] != nil {
+				return 0, 0, nil, errs[node]
+			}
 		}
 		// Serial barrier, fixed order: merge ascending, then apply the
 		// next wave's joins node-ascending / predecessor-ascending. All of

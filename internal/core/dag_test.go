@@ -323,7 +323,7 @@ func TestSplitWorkers(t *testing.T) {
 		if fmt.Sprint(got) != fmt.Sprint(c.want) {
 			t.Errorf("splitWorkers(%d, %d) = %v, want %v", c.workers, c.n, got, c.want)
 		}
-		// Total bound: with boundedGroup capping concurrent solves at
+		// Total bound: with ForEachRun capping concurrent solves at
 		// workers, the run-pool goroutines of concurrently running solves
 		// never exceed the budget. Shares of -1 count as one worker.
 		if c.n <= c.workers {

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
+	"strings"
 	"testing"
 	"time"
 
@@ -251,36 +251,38 @@ func (c *cancellingSolver) Solve(ctx context.Context, req solver.Request) (*solv
 	return res, err
 }
 
-func TestBoundedGroupLimitsAndPropagatesErrors(t *testing.T) {
-	var running, peak, done atomic.Int32
-	task := func(i int) error {
-		cur := running.Add(1)
-		for {
-			p := peak.Load()
-			if cur <= p || peak.CompareAndSwap(p, cur) {
-				break
-			}
-		}
-		time.Sleep(time.Millisecond)
-		running.Add(-1)
-		done.Add(1)
-		if i == 5 {
-			return fmt.Errorf("task %d failed", i)
-		}
-		return nil
+// failingSubSolver fails every solve with an error naming the partial
+// problem, recovered from the per-node seed opt.Seed+1000+node, and stalls
+// sub 0 so that later subs of its wave fail first.
+type failingSubSolver struct{ seed int64 }
+
+func (f failingSubSolver) Name() string  { return "failing" }
+func (f failingSubSolver) Capacity() int { return 64 }
+func (f failingSubSolver) Solve(ctx context.Context, req solver.Request) (*solver.Result, error) {
+	sub := req.Seed - f.seed - 1000
+	if sub == 0 {
+		time.Sleep(30 * time.Millisecond)
 	}
-	for _, limit := range []int{2, 1} {
-		running.Store(0)
-		peak.Store(0)
-		done.Store(0)
-		if err := boundedGroup(limit, 8, task); err == nil {
-			t.Fatalf("limit %d: boundedGroup dropped the error", limit)
+	return nil, fmt.Errorf("sub %d failed", sub)
+}
+
+// TestWaveErrorIndependentOfCompletionOrder pins that a FailFast solve whose
+// wave has several failing partial problems reports the lowest-index one at
+// every Parallelism, not whichever failed first.
+func TestWaveErrorIndependentOfCompletionOrder(t *testing.T) {
+	p := dagTestInstance(t).Problem
+	for _, par := range []int{-1, 2, 4} {
+		opt := Options{
+			Device:          failingSubSolver{seed: 17},
+			PartitionSolver: &da.Solver{},
+			Runs:            2,
+			Seed:            17,
+			Parallelism:     par,
+			FailFast:        true,
 		}
-		if got := done.Load(); got != 8 {
-			t.Errorf("limit %d: completed %d tasks, want all 8 despite the error", limit, got)
-		}
-		if p := peak.Load(); p > int32(limit) {
-			t.Errorf("limit %d: concurrency peak %d exceeds the limit", limit, p)
+		_, err := SolveParallel(context.Background(), p, opt)
+		if err == nil || !strings.Contains(err.Error(), "sub 0 failed") {
+			t.Errorf("parallelism %d: error %v, want sub 0's", par, err)
 		}
 	}
 }

@@ -7,7 +7,9 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"incranneal/internal/obs"
 	"incranneal/internal/qubo"
@@ -39,6 +41,32 @@ func TestForEachRunCoversEveryIndexOnce(t *testing.T) {
 			if c != 1 {
 				t.Fatalf("workers %d: run %d executed %d times", workers, run, c)
 			}
+		}
+	}
+}
+
+// TestForEachRunCapsConcurrency pins the worker cap: at most workers runs
+// execute at once, and every run still executes.
+func TestForEachRunCapsConcurrency(t *testing.T) {
+	for _, workers := range []int{1, 2, 3} {
+		var running, peak, done atomic.Int32
+		ForEachRun(8, workers, func(int) {
+			cur := running.Add(1)
+			for {
+				p := peak.Load()
+				if cur <= p || peak.CompareAndSwap(p, cur) {
+					break
+				}
+			}
+			time.Sleep(time.Millisecond)
+			running.Add(-1)
+			done.Add(1)
+		})
+		if got := done.Load(); got != 8 {
+			t.Errorf("workers %d: completed %d runs, want 8", workers, got)
+		}
+		if p := peak.Load(); p > int32(workers) {
+			t.Errorf("workers %d: concurrency peak %d exceeds the cap", workers, p)
 		}
 	}
 }
