@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"incranneal/internal/encoding"
 	"incranneal/internal/mqo"
-	"incranneal/internal/obs"
 	"incranneal/internal/solver"
 )
 
@@ -18,42 +16,14 @@ import (
 // device to implement solver.LargeSolver.
 func SolveDefault(ctx context.Context, p *mqo.Problem, opt Options) (*Outcome, error) {
 	start := time.Now()
-	var tm PhaseTimings
-	_, ph := obs.StartPhase(ctx, "encode")
-	pp, err := encoding.PrepareMQO(p)
-	if err != nil {
-		return nil, err
-	}
-	enc := pp.Encoding()
-	tm.Encode = ph.End(obs.Event{N: 1})
-	dev := opt.Device
-	if c := dev.Capacity(); c > 0 && enc.Model.NumVariables() > c {
-		ls, ok := dev.(solver.LargeSolver)
+	if c := opt.Device.Capacity(); c > 0 && p.NumPlans() > c {
+		ls, ok := opt.Device.(solver.LargeSolver)
 		if !ok {
-			return nil, fmt.Errorf("core: problem needs %d variables but device %s caps at %d and offers no default partitioning", enc.Model.NumVariables(), dev.Name(), c)
+			return nil, fmt.Errorf("core: problem needs %d variables but device %s caps at %d and offers no default partitioning", p.NumPlans(), opt.Device.Name(), c)
 		}
-		dev = largeDevice{ls}
+		opt.Device = largeDevice{ls}
 	}
-	best, sweeps, st, err := solveEncoded(ctx, dev, enc, opt.Runs, opt.TotalSweeps, opt.Seed, nil, opt.Parallelism)
-	var degs []Degradation
-	if err != nil {
-		if opt.FailFast || isPipelineError(err) {
-			return nil, err
-		}
-		var d Degradation
-		best, d = degrade(ctx, p, -1, opt.Device.Name(), err)
-		degs = append(degs, d)
-	}
-	tm.Anneal, tm.Decode = st.anneal, st.decode
-	out, err := finalize(p, best, StrategyDefault, start)
-	if err != nil {
-		return nil, err
-	}
-	out.NumPartitions = 1
-	out.Sweeps = sweeps
-	out.Timings = tm
-	out.Degradations = degs
-	return out, nil
+	return solveWhole(ctx, p, opt, StrategyDefault, start)
 }
 
 // largeDevice routes Solve to the device's own large-problem handling
