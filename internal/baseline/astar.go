@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"time"
 
 	"incranneal/internal/mqo"
 )
@@ -22,8 +21,6 @@ import (
 // exhausting the budget returns an error rather than a sub-optimal result,
 // since the method's only use is exact solving.
 func AStar(ctx context.Context, p *mqo.Problem, opt Options) (*Result, error) {
-	start := time.Now()
-	deadline := deadlineFor(opt, start)
 	budget := opt.MaxIterations
 	if budget <= 0 {
 		budget = 1000000
@@ -65,7 +62,7 @@ func AStar(ctx context.Context, p *mqo.Problem, opt Options) (*Result, error) {
 		if expansions >= budget {
 			return nil, fmt.Errorf("baseline: A* exceeded %d expansions (the scaling wall the paper describes)", budget)
 		}
-		if expired(ctx, deadline) {
+		if ctx.Err() != nil {
 			return nil, fmt.Errorf("baseline: A* interrupted after %d expansions", expansions)
 		}
 		node := heap.Pop(open).(*searchNode)
@@ -74,7 +71,7 @@ func AStar(ctx context.Context, p *mqo.Problem, opt Options) (*Result, error) {
 			for nd := node; nd.parent != nil; nd = nd.parent {
 				sol.Selected[nd.depth-1] = nd.plan
 			}
-			return &Result{Solution: sol, Cost: node.g, Iterations: expansions, Elapsed: time.Since(start)}, nil
+			return &Result{Solution: sol, Cost: node.g, Iterations: expansions}, nil
 		}
 		expansions++
 		q := node.depth

@@ -4,12 +4,7 @@
 // branch-and-bound solver usable as a test oracle on small instances.
 package baseline
 
-import (
-	"context"
-	"time"
-
-	"incranneal/internal/mqo"
-)
+import "incranneal/internal/mqo"
 
 // Options budgets a baseline run.
 type Options struct {
@@ -17,9 +12,6 @@ type Options struct {
 	// restarts×moves for hill climbing, generations for the genetic
 	// algorithm). Zero uses a per-algorithm default.
 	MaxIterations int
-	// TimeBudget bounds wall-clock time; the paper gives conventional
-	// heuristics 300 s. Zero means unbounded.
-	TimeBudget time.Duration
 	// Seed makes the run deterministic.
 	Seed int64
 }
@@ -30,7 +22,6 @@ type Result struct {
 	Cost     float64
 	// Iterations actually performed (algorithm-specific unit).
 	Iterations int
-	Elapsed    time.Duration
 }
 
 // evaluator maintains a mutable plan selection with O(degree) cost deltas,
@@ -98,22 +89,4 @@ func (e *evaluator) swap(q, newPl int) {
 
 func (e *evaluator) solution() *mqo.Solution {
 	return &mqo.Solution{Selected: append([]int(nil), e.selected...)}
-}
-
-// deadlineFor converts a budget into an absolute deadline (zero time means
-// none).
-func deadlineFor(opt Options, start time.Time) time.Time {
-	if opt.TimeBudget > 0 {
-		return start.Add(opt.TimeBudget)
-	}
-	return time.Time{}
-}
-
-func expired(ctx context.Context, deadline time.Time) bool {
-	select {
-	case <-ctx.Done():
-		return true
-	default:
-	}
-	return !deadline.IsZero() && time.Now().After(deadline)
 }

@@ -149,12 +149,10 @@ func TestGeneticImprovesOverGenerations(t *testing.T) {
 func TestTimeBudgetStopsSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := randomProblem(rng, 20, 5, 0.3)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	_, err := HillClimb(context.Background(), p, Options{
-		MaxIterations: 1 << 30,
-		TimeBudget:    30 * time.Millisecond,
-		Seed:          1,
-	})
+	_, err := HillClimb(ctx, p, Options{MaxIterations: 1 << 30, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

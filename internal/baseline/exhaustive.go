@@ -3,7 +3,6 @@ package baseline
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"incranneal/internal/mqo"
 )
@@ -17,9 +16,8 @@ const MaxExactQueries = 24
 // branch-and-bound over queries, pruning with an admissible lower bound
 // (cheapest remaining plan per query minus all savings still obtainable).
 // It exists as the ground-truth oracle for tests and small-instance
-// comparisons; Options.MaxIterations and TimeBudget are ignored.
+// comparisons; Options.MaxIterations is ignored.
 func Exact(ctx context.Context, p *mqo.Problem, opt Options) (*Result, error) {
-	start := time.Now()
 	if p.NumQueries() > MaxExactQueries {
 		return nil, fmt.Errorf("baseline: exact solver limited to %d queries, got %d", MaxExactQueries, p.NumQueries())
 	}
@@ -100,5 +98,5 @@ func Exact(ctx context.Context, p *mqo.Problem, opt Options) (*Result, error) {
 		}
 	}
 	dfs(0, 0)
-	return &Result{Solution: best, Cost: bestCost, Iterations: nodes, Elapsed: time.Since(start)}, nil
+	return &Result{Solution: best, Cost: bestCost, Iterations: nodes}, nil
 }

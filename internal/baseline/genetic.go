@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"sort"
-	"time"
 
 	"incranneal/internal/mqo"
 )
@@ -57,9 +56,7 @@ type chromosome struct {
 // cost, single-point crossover and gene-wise mutation.
 // Options.MaxIterations bounds the number of generations.
 func Genetic(ctx context.Context, p *mqo.Problem, gopt GeneticOptions) (*Result, error) {
-	start := time.Now()
 	gopt = gopt.withDefaults()
-	deadline := deadlineFor(gopt.Options, start)
 	rng := rand.New(rand.NewSource(gopt.Seed))
 	pop := make([]chromosome, gopt.PopulationSize)
 	for i := range pop {
@@ -68,7 +65,7 @@ func Genetic(ctx context.Context, p *mqo.Problem, gopt GeneticOptions) (*Result,
 	}
 	sortPop(pop)
 	generations := 0
-	for generations < gopt.MaxIterations && !expired(ctx, deadline) {
+	for generations < gopt.MaxIterations && ctx.Err() == nil {
 		next := make([]chromosome, 0, len(pop))
 		for i := 0; i < gopt.Elitism && i < len(pop); i++ {
 			next = append(next, cloneChromosome(pop[i]))
@@ -90,7 +87,7 @@ func Genetic(ctx context.Context, p *mqo.Problem, gopt GeneticOptions) (*Result,
 		generations++
 	}
 	best := decode(p, pop[0])
-	return &Result{Solution: best, Cost: pop[0].cost, Iterations: generations, Elapsed: time.Since(start)}, nil
+	return &Result{Solution: best, Cost: pop[0].cost, Iterations: generations}, nil
 }
 
 func randomChromosome(p *mqo.Problem, rng *rand.Rand) chromosome {

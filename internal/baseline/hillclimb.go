@@ -3,7 +3,6 @@ package baseline
 import (
 	"context"
 	"math/rand"
-	"time"
 
 	"incranneal/internal/mqo"
 )
@@ -15,8 +14,6 @@ import (
 // Options.MaxIterations bounds the total number of evaluated moves
 // (default 200,000).
 func HillClimb(ctx context.Context, p *mqo.Problem, opt Options) (*Result, error) {
-	start := time.Now()
-	deadline := deadlineFor(opt, start)
 	budget := opt.MaxIterations
 	if budget <= 0 {
 		budget = 200000
@@ -25,9 +22,9 @@ func HillClimb(ctx context.Context, p *mqo.Problem, opt Options) (*Result, error
 	var best *mqo.Solution
 	bestCost := 0.0
 	iterations := 0
-	for iterations < budget && !expired(ctx, deadline) {
+	for iterations < budget && ctx.Err() == nil {
 		e := newEvaluator(p, randomSolution(p, rng))
-		for iterations < budget && !expired(ctx, deadline) {
+		for iterations < budget && ctx.Err() == nil {
 			bestQ, bestPl, bestDelta := -1, -1, 0.0
 			for q := 0; q < p.NumQueries(); q++ {
 				cur := e.selected[q]
@@ -50,7 +47,7 @@ func HillClimb(ctx context.Context, p *mqo.Problem, opt Options) (*Result, error
 			best, bestCost = e.solution(), e.cost
 		}
 	}
-	return &Result{Solution: best, Cost: bestCost, Iterations: iterations, Elapsed: time.Since(start)}, nil
+	return &Result{Solution: best, Cost: bestCost, Iterations: iterations}, nil
 }
 
 // randomSolution draws a uniformly random valid plan selection.
