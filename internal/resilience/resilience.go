@@ -51,8 +51,6 @@ type Config struct {
 	// RetryBase is the backoff before the first re-attempt; it doubles per
 	// attempt. 0 means 5ms.
 	RetryBase time.Duration
-	// RetryMax caps the (pre-jitter) backoff. 0 means 250ms.
-	RetryMax time.Duration
 	// SolveTimeout bounds each device solve; on expiry the device returns
 	// its best-so-far samples (the device cancellation contract). 0
 	// disables the Timeout layer.
@@ -60,10 +58,6 @@ type Config struct {
 	// BreakerThreshold trips the circuit breaker after this many
 	// consecutive failed solves. 0 disables the Breaker layer.
 	BreakerThreshold int
-	// BreakerCooldown is how many fast-failed solves a tripped breaker
-	// rejects before letting a probe attempt through (half-open). 0 means
-	// the breaker stays open once tripped.
-	BreakerCooldown int
 	// Seed drives the deterministic backoff jitter.
 	Seed int64
 }
@@ -75,16 +69,10 @@ func (c Config) retryBase() time.Duration {
 	return 5 * time.Millisecond
 }
 
-func (c Config) retryMax() time.Duration {
-	if c.RetryMax > 0 {
-		return c.RetryMax
-	}
-	return 250 * time.Millisecond
-}
-
 // Wrap composes the configured middleware around each device and chains the
-// devices into a Fallback (first device is the primary). With a zero Config
-// and a single device, the device is returned unchanged.
+// devices into a Fallback (first device is the primary). Retry backoff is
+// capped at 250ms before jitter, and a tripped Breaker stays open. With a
+// zero Config and a single device, the device is returned unchanged.
 func Wrap(devs []solver.Solver, cfg Config) solver.Solver {
 	if len(devs) == 0 {
 		return nil
@@ -99,12 +87,12 @@ func Wrap(devs []solver.Solver, cfg Config) solver.Solver {
 			s = NewRetry(s, RetryConfig{
 				Attempts: cfg.Retries + 1,
 				Base:     cfg.retryBase(),
-				Max:      cfg.retryMax(),
+				Max:      250 * time.Millisecond,
 				Seed:     cfg.Seed,
 			})
 		}
 		if cfg.BreakerThreshold > 0 {
-			s = NewBreaker(s, cfg.BreakerThreshold, cfg.BreakerCooldown)
+			s = NewBreaker(s, cfg.BreakerThreshold, 0)
 		}
 		wrapped[i] = s
 	}
