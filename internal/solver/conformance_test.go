@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"incranneal/internal/da"
+	catalogue "incranneal/internal/devices"
 	"incranneal/internal/faultinject"
 	"incranneal/internal/hqa"
 	"incranneal/internal/obs"
@@ -26,14 +27,18 @@ import (
 	"incranneal/internal/va"
 )
 
+// devices builds every device of the catalogue, so each one is held to
+// the contract.
 func devices() []solver.Solver {
-	return []solver.Solver{
-		&da.Solver{},
-		&da.PT{Solver: &da.Solver{}},
-		&sa.Solver{},
-		&va.Solver{},
-		&hqa.Solver{},
+	var devs []solver.Solver
+	for _, name := range catalogue.Names {
+		dev, err := catalogue.New(name, 0)
+		if err != nil {
+			panic(err)
+		}
+		devs = append(devs, dev)
 	}
+	return devs
 }
 
 func deviceName(s solver.Solver) string {
