@@ -158,12 +158,14 @@ func TestObsSingleClock(t *testing.T) {
 			t.Fatalf("parallelism %d: instance did not partition into several waves: %+v", par, out.DAG)
 		}
 		partitions := 0
-		var part, anneal, dss time.Duration
+		var part, encode, anneal, dss time.Duration
 		for _, e := range sink.Events() {
 			switch e.Name {
 			case "partition":
 				partitions++
 				part = e.Dur
+			case "encode":
+				encode += e.Dur
 			case "anneal":
 				anneal += e.Dur
 			case "dss":
@@ -175,6 +177,9 @@ func TestObsSingleClock(t *testing.T) {
 		}
 		if out.Timings.Partition != part {
 			t.Errorf("parallelism %d: Timings.Partition %v, partition span %v", par, out.Timings.Partition, part)
+		}
+		if out.Timings.Encode != encode {
+			t.Errorf("parallelism %d: Timings.Encode %v, encode spans sum to %v", par, out.Timings.Encode, encode)
 		}
 		if out.Timings.Anneal != anneal {
 			t.Errorf("parallelism %d: Timings.Anneal %v, anneal spans sum to %v", par, out.Timings.Anneal, anneal)
