@@ -29,10 +29,8 @@
 // Crash safety: -journal-dir fsyncs every accepted request to an
 // append-only journal before admission and tombstones it once answered; a
 // restarted daemon replays the unanswered remainder (at-least-once) while
-// /readyz reports 503. -checkpoint-interval paces the per-solve session
-// checkpoints that let a killed solve attempt resume without re-annealing
-// finished partial problems; -watchdog-factor quarantines fleet slots
-// whose solves ignore cancellation.
+// /readyz reports 503. -watchdog-factor quarantines fleet slots whose
+// solves ignore cancellation.
 //
 // Resilience: -retries, -solve-timeout, -breaker and -fallback wrap each
 // fleet worker's devices in the same middleware stack mqosolve uses;
@@ -99,7 +97,6 @@ func main() {
 		warmDrift    = flag.Float64("warm-drift", 0, "seed annealing from the cached incumbent when relative weight drift is within (0, bound]; requires -cache-entries (0 = warm starts off)")
 
 		journalDir     = flag.String("journal-dir", "", "fsync accepted requests to an append-only journal in this directory and replay the unanswered remainder on restart (empty = journaling off)")
-		ckptInterval   = flag.Duration("checkpoint-interval", 0, "minimum spacing between per-solve session checkpoints used for kill-and-resume (0 = checkpoint after every partial-problem merge)")
 		shedTarget     = flag.Duration("shed-target", 0, "adaptive overload shedding: reject low/normal-priority requests while the p99 queue wait exceeds this target (0 = shedding off)")
 		priority       = flag.String("priority", "", "default queue class for requests that carry none: low, normal or high (empty = normal)")
 		watchdogFactor = flag.Float64("watchdog-factor", 0, "quarantine a fleet slot whose solve overruns its remaining deadline times this factor and ignores cancellation (0 = watchdog off)")
@@ -158,11 +155,10 @@ func main() {
 		WarmStartDrift:  *warmDrift,
 		Sink:            sink,
 
-		JournalDir:         *journalDir,
-		CheckpointInterval: *ckptInterval,
-		ShedTarget:         *shedTarget,
-		DefaultPriority:    *priority,
-		WatchdogFactor:     *watchdogFactor,
+		JournalDir:      *journalDir,
+		ShedTarget:      *shedTarget,
+		DefaultPriority: *priority,
+		WatchdogFactor:  *watchdogFactor,
 	})
 	if err != nil {
 		fail(err)

@@ -48,13 +48,14 @@ func TestSessionCancelMidWaveNoLeak(t *testing.T) {
 	opt := dagTestOptions()
 	opt.Device = gate
 	opt.Parallelism = 4
+	// Arm the checkpoint path, as a served attempt that will be killed does.
+	opt.CheckpointFunc = func(*Checkpoint) {}
 
 	before := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sess := NewSession(in.Problem, opt)
-	sess.EnableCheckpointing(0)
 	if err := sess.Start(ctx); err != nil {
 		t.Fatal(err)
 	}

@@ -79,13 +79,6 @@ type Session struct {
 	mu      sync.Mutex
 	started bool
 
-	// ckptEnabled wires a checkpoint store into the solve at Start;
-	// ckpt holds the most recent delivery (see EnableCheckpointing).
-	ckptEnabled  bool
-	ckptInterval time.Duration
-	ckptMu       sync.Mutex
-	ckpt         *Checkpoint
-
 	incumbents chan Incumbent
 	done       chan struct{}
 	start      time.Time
@@ -105,38 +98,6 @@ func NewSession(p *mqo.Problem, opt Options) *Session {
 		incumbents: make(chan Incumbent, 64),
 		done:       make(chan struct{}),
 	}
-}
-
-// EnableCheckpointing makes the session retain the solve's most recent
-// restart point, retrievable with Checkpoint while the solve runs or after
-// an interruption. interval throttles snapshot deliveries (Options.
-// CheckpointInterval); zero snapshots after every partial-problem merge.
-// Must be called before Start. Checkpointing is pure observation — the
-// solve's Outcome is unchanged — and only partitioned solves of the
-// incremental and parallel strategies produce checkpoints; for the default
-// strategy Checkpoint stays nil and a "resume" is simply a fresh solve.
-//
-// Any Options.CheckpointFunc the caller installed keeps firing (after the
-// session stores its copy), so external sinks — the serving layer's
-// kill-detection, a journal writer — compose with the session store.
-func (s *Session) EnableCheckpointing(interval time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.started {
-		return
-	}
-	s.ckptEnabled = true
-	s.ckptInterval = interval
-}
-
-// Checkpoint returns the most recent restart point of a session started
-// after EnableCheckpointing, nil when none was delivered yet (or the
-// solve is not checkpointable). The returned checkpoint is a stable deep
-// copy; pass it to Options.Resume to continue an interrupted solve.
-func (s *Session) Checkpoint() *Checkpoint {
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
-	return s.ckpt
 }
 
 // Incumbents returns the stream of incumbent points. The channel is closed
@@ -165,23 +126,6 @@ func (s *Session) Start(ctx context.Context) error {
 	}
 	s.started = true
 	s.start = time.Now()
-	if s.ckptEnabled {
-		// Store every delivered checkpoint, then forward to any callback
-		// the caller installed. The solve invokes this from its serial
-		// merge path; Checkpoint readers come from other goroutines.
-		if s.opt.CheckpointInterval == 0 {
-			s.opt.CheckpointInterval = s.ckptInterval
-		}
-		user := s.opt.CheckpointFunc
-		s.opt.CheckpointFunc = func(cp *Checkpoint) {
-			s.ckptMu.Lock()
-			s.ckpt = cp
-			s.ckptMu.Unlock()
-			if user != nil {
-				user(cp)
-			}
-		}
-	}
 	s.opt.onMerge = func(inc Incumbent) {
 		inc.Elapsed = time.Since(s.start)
 		s.push(inc)
