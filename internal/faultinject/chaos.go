@@ -51,42 +51,32 @@ func (c Config) chaosEnabled() bool {
 	return c.KillWorkerEvery > 0 || c.SlowWorkerEvery > 0 || c.JournalFailEvery > 0
 }
 
-// KillNextSolve reports whether the worker about to run a solve should be
-// killed mid-flight (the serve layer cancels the solve context and
-// requeues the request from its checkpoint). Counts one solve attempt per
-// call, shared with SlowNextSolve's schedule.
-func (c *Chaos) KillNextSolve() bool {
+// NextSolve advances the schedule by one solve attempt and reports whether
+// the worker running it should be killed mid-flight (the serve layer
+// cancels the solve context and requeues the request from its checkpoint)
+// and how long it should stall before starting, zero for no stall. Every
+// attempt counts towards both schedules, but only a killable attempt —
+// one that can checkpoint and has attempts left — is killed, and only a
+// kill is counted as one.
+func (c *Chaos) NextSolve(killable bool) (kill bool, delay time.Duration) {
 	if c == nil {
-		return false
+		return false, 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.solves++
-	if c.cfg.KillWorkerEvery > 0 && c.solves%c.cfg.KillWorkerEvery == 0 {
+	if killable && c.cfg.KillWorkerEvery > 0 && c.solves%c.cfg.KillWorkerEvery == 0 {
 		c.stats.WorkerKills++
-		return true
+		kill = true
 	}
-	return false
-}
-
-// SlowNextSolve returns the artificial delay the next solve should suffer
-// before starting, zero for none. It shares the solve counter advanced by
-// KillNextSolve, so call it once per attempt, after KillNextSolve.
-func (c *Chaos) SlowNextSolve() time.Duration {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.cfg.SlowWorkerEvery > 0 && c.solves%c.cfg.SlowWorkerEvery == 0 {
 		c.stats.SlowedSolves++
-		d := c.cfg.SlowWorkerDelay
-		if d <= 0 {
-			d = 50 * time.Millisecond
+		delay = c.cfg.SlowWorkerDelay
+		if delay <= 0 {
+			delay = 50 * time.Millisecond
 		}
-		return d
 	}
-	return 0
+	return kill, delay
 }
 
 // FailNextJournalWrite reports whether the next admission-journal write

@@ -89,10 +89,11 @@ func TestChaosSchedules(t *testing.T) {
 	ch := NewChaos(Config{KillWorkerEvery: 3, SlowWorkerEvery: 2, SlowWorkerDelay: 5 * time.Millisecond, JournalFailEvery: 2})
 	var kills, slows int
 	for i := 0; i < 12; i++ {
-		if ch.KillNextSolve() {
+		kill, d := ch.NextSolve(true)
+		if kill {
 			kills++
 		}
-		if d := ch.SlowNextSolve(); d != 0 {
+		if d != 0 {
 			if d != 5*time.Millisecond {
 				t.Errorf("slow delay %v, want 5ms", d)
 			}
@@ -119,19 +120,33 @@ func TestChaosSchedules(t *testing.T) {
 		t.Errorf("stats %+v disagree with observed kills=%d slows=%d jfails=%d", st, kills, slows, jfails)
 	}
 
+	// An attempt that cannot be killed still advances the schedule, and
+	// only a kill counts as one.
+	ch3 := NewChaos(Config{KillWorkerEvery: 2})
+	for i := 1; i <= 6; i++ {
+		kill, _ := ch3.NextSolve(i > 4)
+		if kill != (i == 6) {
+			t.Errorf("attempt %d at kill-every=2, killable %v: kill %v", i, i > 4, kill)
+		}
+	}
+	if n := ch3.Stats().WorkerKills; n != 1 {
+		t.Errorf("%d kills counted, want 1", n)
+	}
+
 	// Default slow delay.
 	ch2 := NewChaos(Config{SlowWorkerEvery: 1})
-	if d := ch2.SlowNextSolve(); d != 50*time.Millisecond {
+	if _, d := ch2.NextSolve(false); d != 50*time.Millisecond {
 		t.Errorf("default slow delay %v, want 50ms", d)
 	}
 }
 
 func TestChaosNilSafe(t *testing.T) {
 	var ch *Chaos
-	if ch.KillNextSolve() {
+	kill, d := ch.NextSolve(true)
+	if kill {
 		t.Error("nil Chaos killed a solve")
 	}
-	if ch.SlowNextSolve() != 0 {
+	if d != 0 {
 		t.Error("nil Chaos slowed a solve")
 	}
 	if ch.FailNextJournalWrite() {
