@@ -196,23 +196,6 @@ func (p *Problem) TotalPlanCost() float64 {
 	return t
 }
 
-// MaxIncidentSavings returns the largest accumulated saving incident to any
-// single plan. It bounds the benefit of selecting any one extra plan and is
-// used to derive sufficient QUBO penalty weights.
-func (p *Problem) MaxIncidentSavings() float64 {
-	var m float64
-	for plan := range p.adj {
-		var t float64
-		for _, si := range p.adj[plan] {
-			t += p.savings[si].Value
-		}
-		if t > m {
-			m = t
-		}
-	}
-	return m
-}
-
 // SolutionSpaceSize returns log10 of the number of valid solutions,
 // i.e. log10(Π_q |P_q|). The logarithm avoids overflow for the paper's
 // large-scale instances (e.g. 40^1000 solutions).

@@ -103,15 +103,6 @@ func TestSavingBetweenMatchesLinearScan(t *testing.T) {
 	}
 }
 
-func TestMaxIncidentSavings(t *testing.T) {
-	p := PaperExample()
-	// p5 (index 4) is incident to s45=5, s57=5, s58=1 → 11; p2 (index 1)
-	// to s23=1, s24=5, s27=5 → 11; p7 (index 6) to s27=5, s57=5, s67=1 → 11.
-	if got := p.MaxIncidentSavings(); got != 11 {
-		t.Errorf("MaxIncidentSavings = %v, want 11", got)
-	}
-}
-
 func TestSolutionSpaceSize(t *testing.T) {
 	p := PaperExample()
 	// 2^4 = 16 solutions → log10 ≈ 1.204.

@@ -40,17 +40,6 @@ func (s *Solution) Complete() bool {
 	return true
 }
 
-// NumAssigned returns the number of queries with a selected plan.
-func (s *Solution) NumAssigned() int {
-	n := 0
-	for _, pl := range s.Selected {
-		if pl != Unassigned {
-			n++
-		}
-	}
-	return n
-}
-
 // Merge copies every assignment of other into s. It returns an error if
 // other assigns a query that s has already assigned to a different plan.
 func (s *Solution) Merge(other *Solution) error {
@@ -121,30 +110,6 @@ func (s *Solution) CostBuffered(p *Problem, selected []bool) float64 {
 		}
 	}
 	return total
-}
-
-// MarginalCost returns the cost change of additionally assigning plan pl to
-// its query, relative to the current (partial) assignment in s: the plan's
-// execution cost minus all savings it shares with already-selected plans.
-// The query of pl must currently be unassigned or assigned to pl itself.
-func (s *Solution) MarginalCost(p *Problem, pl int) float64 {
-	cost := p.Cost(pl)
-	selected := make(map[int]bool, len(s.Selected))
-	for _, sp := range s.Selected {
-		if sp != Unassigned {
-			selected[sp] = true
-		}
-	}
-	for _, sv := range p.SavingsOf(pl) {
-		other := sv.P1
-		if other == pl {
-			other = sv.P2
-		}
-		if selected[other] {
-			cost -= sv.Value
-		}
-	}
-	return cost
 }
 
 // GreedySolution selects, for every query independently, the plan with the

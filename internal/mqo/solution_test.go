@@ -45,23 +45,6 @@ func TestPartialSolutionCost(t *testing.T) {
 	if s.Complete() {
 		t.Error("partial solution reported complete")
 	}
-	if got := s.NumAssigned(); got != 2 {
-		t.Errorf("NumAssigned = %d, want 2", got)
-	}
-}
-
-func TestMarginalCost(t *testing.T) {
-	p := PaperExample()
-	s := NewSolution(p)
-	s.Selected[0], s.Selected[1] = 1, 3
-	// Example 4.7: with p2 and p4 selected, p7's marginal cost is
-	// 14 − s(p2,p7) = 9, p5's is 11 − s(p4,p5) = 6.
-	if got := s.MarginalCost(p, 6); got != 9 {
-		t.Errorf("MarginalCost(p7) = %v, want 9", got)
-	}
-	if got := s.MarginalCost(p, 4); got != 6 {
-		t.Errorf("MarginalCost(p5) = %v, want 6", got)
-	}
 }
 
 func TestMergeConflicts(t *testing.T) {

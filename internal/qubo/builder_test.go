@@ -48,13 +48,3 @@ func TestTermsSortedAndDegree(t *testing.T) {
 		t.Errorf("degrees = %d, %d, %d", m.Degree(0), m.Degree(3), m.Degree(2))
 	}
 }
-
-func TestAddConstantIsDropped(t *testing.T) {
-	b := NewBuilder(1)
-	b.AddConstant(42)
-	b.AddLinear(0, -1)
-	m := b.Build()
-	if got := m.Energy([]int8{0}); got != 0 {
-		t.Errorf("constant leaked into energy: %v", got)
-	}
-}

@@ -89,10 +89,6 @@ func (b *Builder) AddQuadratic(i, j int, c float64) {
 	b.quad[[2]int{i, j}] += c
 }
 
-// AddConstant is accepted for encoding completeness but ignored: constants
-// shift every configuration's energy equally and do not affect minima.
-func (b *Builder) AddConstant(float64) {}
-
 func (b *Builder) check(i int) {
 	if i < 0 || i >= b.n {
 		panic(fmt.Sprintf("qubo: variable %d out of range [0,%d)", i, b.n))
