@@ -409,7 +409,7 @@ func PhaseReport(ctx context.Context, cfg Config, scale Scale) (*Report, error) 
 			fmt.Sprintf("%.0f", out.Cost), cacheCell(out.Cache))
 	}
 	r.Notes = append(r.Notes,
-		"phase columns measure the work itself; the incremental strategy overlaps encoding with annealing, so phases may sum past the total",
+		"phase columns sum each phase's spans; the partial problems of one wave solve concurrently, so phases may sum past the total",
 		"the cached row re-solves the same instance with the same seed against a primed cross-solve cache: partition time collapses to the Refit check and the cost matches DA (Incremental) bit for bit")
 	return r, nil
 }
