@@ -25,7 +25,7 @@ func ablationInstance(scale Scale, inst int) (*mqo.Problem, error) {
 	in, err := workload.GenerateSweep(workload.SweepConfig{
 		Queries: scale.QuerySet[len(scale.QuerySet)-1], PPQ: scale.StandardPPQ,
 		Communities: 4, DensityLow: 0.05, DensityHigh: 1.0,
-		Seed: classSeed("ablation", inst, 0, 0),
+		Seed: workload.ClassSeed("ablation", inst, 0, 0),
 	})
 	if err != nil {
 		return nil, err
@@ -50,7 +50,7 @@ func AblationDSS(ctx context.Context, cfg Config, scale Scale) (*Report, error) 
 		}
 		opt := core.Options{
 			Device: &da.Solver{CapacityVars: cfg.DACapacity}, Runs: cfg.Runs,
-			TotalSweeps: daSweeps(cfg, p), Seed: classSeed("abl-dss", inst, 0, 0),
+			TotalSweeps: daSweeps(cfg, p), Seed: workload.ClassSeed("abl-dss", inst, 0, 0),
 		}
 		with, err := core.SolveIncremental(ctx, p, opt)
 		if err != nil {
@@ -89,7 +89,7 @@ func AblationPostProcess(ctx context.Context, cfg Config, scale Scale) (*Report,
 		measure := func(parses int) (float64, float64, error) {
 			part, err := partition.Partition(ctx, p, partition.Options{
 				Capacity: cfg.DACapacity, Solver: dev, Runs: cfg.Runs,
-				Sweeps: daSweeps(cfg, p), Seed: classSeed("abl-pp", inst, parses, 0),
+				Sweeps: daSweeps(cfg, p), Seed: workload.ClassSeed("abl-pp", inst, parses, 0),
 				PostProcessParses: parses,
 			})
 			if err != nil {
@@ -97,7 +97,7 @@ func AblationPostProcess(ctx context.Context, cfg Config, scale Scale) (*Report,
 			}
 			out, err := core.IncrementalOverSubProblems(ctx, p, part.SubProblems, core.Options{
 				Device: dev, Runs: cfg.Runs, TotalSweeps: daSweeps(cfg, p),
-				Seed: classSeed("abl-pp-solve", inst, parses, 0),
+				Seed: workload.ClassSeed("abl-pp-solve", inst, parses, 0),
 			})
 			if err != nil {
 				return 0, 0, err
@@ -142,7 +142,7 @@ func AblationLagrange(ctx context.Context, cfg Config, scale Scale) (*Report, er
 			if err != nil {
 				return nil, err
 			}
-			res, err := dev.Solve(ctx, solver.Request{Model: enc.Model, Runs: cfg.Runs, Sweeps: 800, Seed: classSeed("abl-lag", inst, int(s*100), 0)})
+			res, err := dev.Solve(ctx, solver.Request{Model: enc.Model, Runs: cfg.Runs, Sweeps: 800, Seed: workload.ClassSeed("abl-lag", inst, int(s*100), 0)})
 			if err != nil {
 				return nil, err
 			}
@@ -191,7 +191,7 @@ func AblationDigitalAnnealer(ctx context.Context, cfg Config, scale Scale) (*Rep
 		in, err := workload.GenerateSweep(workload.SweepConfig{
 			Queries: scale.QuerySet[0], PPQ: scale.StandardPPQ,
 			Communities: 4, DensityLow: 0.05, DensityHigh: 1.0,
-			Seed: classSeed("abl-da", inst, 0, 0),
+			Seed: workload.ClassSeed("abl-da", inst, 0, 0),
 		})
 		if err != nil {
 			return nil, err
@@ -203,7 +203,7 @@ func AblationDigitalAnnealer(ctx context.Context, cfg Config, scale Scale) (*Rep
 		row := []string{in.Problem.Name}
 		for _, v := range variants {
 			res, err := v.dev.Solve(ctx, solver.Request{
-				Model: enc.Model, Runs: cfg.Runs, Sweeps: daSweeps(cfg, in.Problem), Seed: classSeed("abl-da-run", inst, 0, 0),
+				Model: enc.Model, Runs: cfg.Runs, Sweeps: daSweeps(cfg, in.Problem), Seed: workload.ClassSeed("abl-da-run", inst, 0, 0),
 			})
 			if err != nil {
 				return nil, err

@@ -2,10 +2,12 @@ package bench
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
 	"incranneal/internal/mqo"
+	"incranneal/internal/workload"
 )
 
 func TestReportRendering(t *testing.T) {
@@ -175,20 +177,43 @@ func TestFiguresSmoke(t *testing.T) {
 	}
 }
 
-func TestClassSeedStable(t *testing.T) {
-	a := classSeed("fig3", 250, 30, 1)
-	b := classSeed("fig3", 250, 30, 1)
-	if a != b {
-		t.Error("classSeed not deterministic")
+// TestFigureRowsFollowClasses checks that each of Figs. 3–6 reports one
+// row per corpus class of its figure, in class order and led by that
+// class's cells: the corpus mqogen -corpus writes is the one the figures
+// solve.
+func TestFigureRowsFollowClasses(t *testing.T) {
+	if testing.Short() {
+		t.Skip("figure drivers are slow")
 	}
-	if classSeed("fig3", 250, 30, 1) == classSeed("fig3", 250, 30, 2) {
-		t.Error("classSeed ignores the instance index")
-	}
-	if classSeed("fig3", 250, 30, 1) == classSeed("fig4", 250, 30, 1) {
-		t.Error("classSeed ignores the label")
-	}
-	if a < 0 {
-		t.Error("classSeed negative")
+	scale := SmokeScale()
+	cfg := ConfigFor(scale)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		figure string
+		run    func(context.Context, Config, Scale) (*Report, error)
+	}{
+		{"fig3", Fig3}, {"fig4", Fig4}, {"fig5", Fig5}, {"fig6", Fig6},
+	} {
+		t.Run(tc.figure, func(t *testing.T) {
+			r, err := tc.run(ctx, cfg, scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var classes []workload.Class
+			for _, c := range scale.Classes() {
+				if c.Figure == tc.figure {
+					classes = append(classes, c)
+				}
+			}
+			if len(r.Rows) != len(classes) {
+				t.Fatalf("%d rows, want one per class: %d", len(r.Rows), len(classes))
+			}
+			for i, c := range classes {
+				if lead := r.Rows[i][:len(c.Cells)]; !slices.Equal(lead, c.Cells) {
+					t.Errorf("row %d leads with %v, want class %s's %v", i, lead, c.Name, c.Cells)
+				}
+			}
+		})
 	}
 }
 

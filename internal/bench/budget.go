@@ -6,6 +6,7 @@ import (
 
 	"incranneal/internal/core"
 	"incranneal/internal/da"
+	"incranneal/internal/workload"
 )
 
 // AblationBudget sweeps the Digital Annealer's step budget (in sweeps per
@@ -33,7 +34,7 @@ func AblationBudget(ctx context.Context, cfg Config, scale Scale) (*Report, erro
 				Device:      &da.Solver{CapacityVars: cfg.DACapacity},
 				Runs:        cfg.Runs,
 				TotalSweeps: perVar * p.NumPlans(),
-				Seed:        classSeed("abl-budget", inst, perVar, 0),
+				Seed:        workload.ClassSeed("abl-budget", inst, perVar, 0),
 			})
 			if err != nil {
 				return nil, err

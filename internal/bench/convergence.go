@@ -8,6 +8,7 @@ import (
 	"incranneal/internal/core"
 	"incranneal/internal/da"
 	"incranneal/internal/obs"
+	"incranneal/internal/workload"
 )
 
 // convMaxPointsPerScope bounds the rows one scope (partial problem)
@@ -53,7 +54,7 @@ func Convergence(ctx context.Context, cfg Config, scale Scale) (*Report, error) 
 			Device:      &da.Solver{CapacityVars: cfg.DACapacity},
 			Runs:        cfg.Runs,
 			TotalSweeps: daSweeps(cfg, p),
-			Seed:        classSeed("convergence", q, scale.StandardPPQ, 0),
+			Seed:        workload.ClassSeed("convergence", q, scale.StandardPPQ, 0),
 			Parallelism: cfg.Parallelism,
 			DisableDSS:  variant.disableDSS,
 		})

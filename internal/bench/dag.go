@@ -32,7 +32,7 @@ func AblationDAG(ctx context.Context, cfg Config, scale Scale) (*Report, error) 
 		in, err := workload.GenerateDAGSweep(workload.DAGSweepConfig{
 			Queries: queries, PPQ: scale.StandardPPQ, Communities: communities,
 			IntraDensity: 0.4, CrossDensity: 0.1,
-			Seed: classSeed("abl-dag", inst, 0, 0),
+			Seed: workload.ClassSeed("abl-dag", inst, 0, 0),
 		})
 		if err != nil {
 			return nil, err
@@ -45,7 +45,7 @@ func AblationDAG(ctx context.Context, cfg Config, scale Scale) (*Report, error) 
 			}
 			opt := core.Options{
 				Device: cfg.wrap(&da.Solver{CapacityVars: cfg.DACapacity}), Runs: cfg.Runs,
-				TotalSweeps: daSweeps(cfg, p), Seed: classSeed("abl-dag-run", inst, 0, 0),
+				TotalSweeps: daSweeps(cfg, p), Seed: workload.ClassSeed("abl-dag-run", inst, 0, 0),
 				Parallelism: parallelism, FailFast: cfg.FailFast,
 				DisableDSS: disableDSS,
 			}

@@ -48,7 +48,7 @@ func DeviceShootout(ctx context.Context, cfg Config, scale Scale) (*Report, erro
 		in, err := workload.GenerateSweep(workload.SweepConfig{
 			Queries: scale.QuerySet[0], PPQ: scale.StandardPPQ,
 			Communities: 4, DensityLow: 0.05, DensityHigh: 1.0,
-			Seed: classSeed("devices", inst, 0, 0),
+			Seed: workload.ClassSeed("devices", inst, 0, 0),
 		})
 		if err != nil {
 			return nil, err
@@ -62,7 +62,7 @@ func DeviceShootout(ctx context.Context, cfg Config, scale Scale) (*Report, erro
 			req := solver.Request{
 				Model: enc.Model, Runs: cfg.Runs,
 				Sweeps: deviceSweeps(d.name, cfg, enc.Model.NumVariables()),
-				Seed:   classSeed("devices-run", inst, 0, 0),
+				Seed:   workload.ClassSeed("devices-run", inst, 0, 0),
 			}
 			start := time.Now()
 			res, err := d.solve(ctx, req)

@@ -118,7 +118,7 @@ func (c Config) withDefaults() Config {
 // headerLines renders the effective run configuration for report headers:
 // everything a reader needs to reproduce a table from the binary alone.
 // Per-instance seeds derive deterministically from the figure label and the
-// instance axes (classSeed), so naming the derivation pins them.
+// instance axes (workload.ClassSeed), so naming the derivation pins them.
 func (c Config) headerLines(scale Scale) []string {
 	c = c.withDefaults()
 	par := "GOMAXPROCS"

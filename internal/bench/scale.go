@@ -1,27 +1,19 @@
 package bench
 
+import "incranneal/internal/workload"
+
 // Scale selects the problem dimensions of an experiment run. PaperScale
 // reproduces the paper's exact dimensions (hours of compute on the software
 // simulators); ReducedScale shrinks every dimension proportionally so the
 // whole suite finishes in minutes while partitioning, DSS and all device
 // code paths stay exercised; SmokeScale is for tests.
+//
+// The embedded Corpus holds the Figs. 3–6 axes those figures solve, and
+// the other figures and studies draw their dimensions from it too.
 type Scale struct {
 	// Name labels the scale in reports.
 	Name string
-	// QuerySet is the |Q| axis (paper: 250, 500, 750, 1000).
-	QuerySet []int
-	// PPQSet is the plans-per-query axis of Fig. 3 (paper: 20, 30, 40).
-	PPQSet []int
-	// StandardPPQ is the fixed PPQ of Figs. 4–7 (paper: 30).
-	StandardPPQ int
-	// Instances per problem class (paper: 3).
-	Instances int
-	// CommunitySet is the community-count axis of Fig. 4 (paper-style: 1,
-	// 2, 4, 6).
-	CommunitySet []int
-	// DensityHighs are the upper bounds of the Fig. 5 density intervals,
-	// all starting at 0.05 (paper: 0.25, 0.5, 0.75, 1.0).
-	DensityHighs []float64
+	workload.Corpus
 	// RuntimeDensities is the density axis of Fig. 7 (paper: up to 0.8).
 	RuntimeDensities []float64
 	// MaxQueriesHQA bounds HQA experiments (the paper stops at 500
@@ -42,12 +34,7 @@ type Scale struct {
 func PaperScale() Scale {
 	return Scale{
 		Name:             "paper",
-		QuerySet:         []int{250, 500, 750, 1000},
-		PPQSet:           []int{20, 30, 40},
-		StandardPPQ:      30,
-		Instances:        3,
-		CommunitySet:     []int{1, 2, 4, 6},
-		DensityHighs:     []float64{0.25, 0.5, 0.75, 1.0},
+		Corpus:           workload.PaperCorpus(),
 		RuntimeDensities: []float64{0.2, 0.5, 0.8},
 		MaxQueriesHQA:    500,
 		Fig1MaxQueries:   40,
@@ -55,18 +42,11 @@ func PaperScale() Scale {
 	}
 }
 
-// ReducedScale shrinks the corpus ~8× per axis while preserving the ratios
-// that drive the paper's effects (several partitions per problem, four
-// communities, the same density intervals).
+// ReducedScale runs the reduced corpus, ~8× smaller per axis.
 func ReducedScale() Scale {
 	return Scale{
 		Name:             "reduced",
-		QuerySet:         []int{64, 128, 256},
-		PPQSet:           []int{4, 6, 8},
-		StandardPPQ:      6,
-		Instances:        2,
-		CommunitySet:     []int{1, 2, 4, 6},
-		DensityHighs:     []float64{0.25, 0.5, 0.75, 1.0},
+		Corpus:           workload.ReducedCorpus(),
 		RuntimeDensities: []float64{0.2, 0.5, 0.8},
 		MaxQueriesHQA:    128,
 		Fig1MaxQueries:   40,
@@ -74,17 +54,12 @@ func ReducedScale() Scale {
 	}
 }
 
-// SmokeScale is the minimal corpus used by unit tests and the default
+// SmokeScale is the minimal scale used by unit tests and the default
 // `go test -bench` run.
 func SmokeScale() Scale {
 	return Scale{
 		Name:             "smoke",
-		QuerySet:         []int{16, 32},
-		PPQSet:           []int{3, 4},
-		StandardPPQ:      3,
-		Instances:        1,
-		CommunitySet:     []int{1, 2, 4},
-		DensityHighs:     []float64{0.5, 1.0},
+		Corpus:           workload.SmokeCorpus(),
 		RuntimeDensities: []float64{0.2, 0.8},
 		MaxQueriesHQA:    32,
 		Fig1MaxQueries:   30,

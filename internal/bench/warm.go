@@ -10,6 +10,7 @@ import (
 	"incranneal/internal/da"
 	"incranneal/internal/mqo"
 	"incranneal/internal/solvecache"
+	"incranneal/internal/workload"
 )
 
 // DriftWeights returns a copy of p whose plan costs and saving values are
@@ -95,7 +96,7 @@ func WarmStarts(ctx context.Context, cfg Config, scale Scale) (*Report, error) {
 			continue
 		}
 		budget := daSweeps(cfg, p)
-		seed := classSeed("warmrun", q, 0, 0)
+		seed := workload.ClassSeed("warmrun", q, 0, 0)
 		solve := func(pp *mqo.Problem, cache *solvecache.Cache, drift float64, sweeps int, s int64) (*core.Outcome, time.Duration, error) {
 			opt := core.Options{
 				Device: cfg.wrap(&da.Solver{CapacityVars: cfg.DACapacity}), Runs: cfg.Runs,
