@@ -29,9 +29,10 @@ type Chaos struct {
 	stats    ChaosStats
 }
 
-// ChaosStats counts the serve-layer faults a Chaos actually injected.
+// ChaosStats counts the serve-layer faults a Chaos actually injected. It
+// has no kill count: serve kills an attempt only once its first checkpoint
+// lands, so serve's serve.chaos.worker_kills counter is the one count.
 type ChaosStats struct {
-	WorkerKills     int // solves whose worker was killed mid-flight
 	SlowedSolves    int // solves delayed by the slow-worker schedule
 	JournalFailures int // journal writes failed
 }
@@ -56,8 +57,7 @@ func (c Config) chaosEnabled() bool {
 // cancels the solve context and requeues the request from its checkpoint)
 // and how long it should stall before starting, zero for no stall. Every
 // attempt counts towards both schedules, but only a killable attempt —
-// one that can checkpoint and has attempts left — is killed, and only a
-// kill is counted as one.
+// one that can checkpoint and has attempts left — is killed.
 func (c *Chaos) NextSolve(killable bool) (kill bool, delay time.Duration) {
 	if c == nil {
 		return false, 0
@@ -65,10 +65,7 @@ func (c *Chaos) NextSolve(killable bool) (kill bool, delay time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.solves++
-	if killable && c.cfg.KillWorkerEvery > 0 && c.solves%c.cfg.KillWorkerEvery == 0 {
-		c.stats.WorkerKills++
-		kill = true
-	}
+	kill = killable && c.cfg.KillWorkerEvery > 0 && c.solves%c.cfg.KillWorkerEvery == 0
 	if c.cfg.SlowWorkerEvery > 0 && c.solves%c.cfg.SlowWorkerEvery == 0 {
 		c.stats.SlowedSolves++
 		delay = c.cfg.SlowWorkerDelay

@@ -116,21 +116,17 @@ func TestChaosSchedules(t *testing.T) {
 		t.Errorf("10 writes at journal-fail-every=2: %d failures, want 5", jfails)
 	}
 	st := ch.Stats()
-	if st.WorkerKills != kills || st.SlowedSolves != slows || st.JournalFailures != jfails {
-		t.Errorf("stats %+v disagree with observed kills=%d slows=%d jfails=%d", st, kills, slows, jfails)
+	if st.SlowedSolves != slows || st.JournalFailures != jfails {
+		t.Errorf("stats %+v disagree with observed slows=%d jfails=%d", st, slows, jfails)
 	}
 
-	// An attempt that cannot be killed still advances the schedule, and
-	// only a kill counts as one.
+	// An attempt that cannot be killed still advances the schedule.
 	ch3 := NewChaos(Config{KillWorkerEvery: 2})
 	for i := 1; i <= 6; i++ {
 		kill, _ := ch3.NextSolve(i > 4)
 		if kill != (i == 6) {
 			t.Errorf("attempt %d at kill-every=2, killable %v: kill %v", i, i > 4, kill)
 		}
-	}
-	if n := ch3.Stats().WorkerKills; n != 1 {
-		t.Errorf("%d kills counted, want 1", n)
 	}
 
 	// Default slow delay.

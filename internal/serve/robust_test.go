@@ -270,8 +270,43 @@ func TestChaosKillResumesBitIdentical(t *testing.T) {
 	if kills := reg.Counter("serve.chaos.worker_kills").Value(); kills == 0 {
 		t.Error("kill-worker-every=1 injected no kills")
 	}
-	if st := chaos.Stats(); st.WorkerKills == 0 {
-		t.Error("chaos stats recorded no kills")
+}
+
+// TestChaosKillSparesUnpartitionedSolve: an attempt is killed only once
+// its first checkpoint lands, so a problem that fits the device runs to
+// completion under kill-worker-every=1, and no kill is counted.
+func TestChaosKillSparesUnpartitionedSolve(t *testing.T) {
+	p := testProblem(t, 41)
+	want, err := core.SolveIncremental(context.Background(), p, core.Options{
+		Device: &da.Solver{}, Runs: 2, TotalSweeps: 400, Seed: 9, Parallelism: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.NumPartitions != 1 {
+		t.Fatalf("%d partitions at default capacity, want 1", want.NumPartitions)
+	}
+
+	reg := obs.NewRegistry()
+	_, ts := newTestServer(t, Config{
+		Fleet: 1, Parallelism: -1, Chaos: faultinject.NewChaos(faultinject.Config{KillWorkerEvery: 1}),
+		Sink: obs.NewSink(nil, reg),
+	})
+	resp, body := postSolve(t, ts.URL, SolveRequest{
+		Problem: p, Options: SolveOptions{Strategy: core.StrategyIncremental, Runs: 2, TotalSweeps: 400, Seed: 9},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d (%s)", resp.StatusCode, body)
+	}
+	var got SolveResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Cost != want.Cost {
+		t.Errorf("served cost %v, standalone %v", got.Cost, want.Cost)
+	}
+	if kills := reg.Counter("serve.chaos.worker_kills").Value(); kills != 0 {
+		t.Errorf("%v kills counted for an attempt that never checkpoints, want 0", kills)
 	}
 }
 
