@@ -135,7 +135,7 @@ func (c Config) headerLines(scale Scale) []string {
 	return []string{
 		fmt.Sprintf("scale=%s instances=%d device=da(capacity=%d)", scale.Name, scale.Instances, c.DACapacity),
 		fmt.Sprintf("runs=%d sweeps_per_var=%d (total sweeps = sweeps_per_var × #plans) parallelism=%s time_budget=%s", c.Runs, c.SweepsPerVar, par, budget),
-		"seeds: classSeed(figure label, axes, instance) — fixed per cell, independent of execution order",
+		"seeds: workload.ClassSeed(figure label, axes, instance) — fixed per cell, independent of execution order",
 	}
 }
 
