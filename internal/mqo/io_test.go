@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -33,6 +34,27 @@ func TestJSONRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLexerKeysAreJSONTags: Lexer.Problem reads every key MarshalJSON
+// writes, so a field added to problemJSON or savingJSON alone fails here
+// rather than sending every problem down the encoding/json path.
+func TestLexerKeysAreJSONTags(t *testing.T) {
+	for _, c := range []struct {
+		keys []string
+		typ  reflect.Type
+	}{
+		{problemKeys, reflect.TypeOf(problemJSON{})},
+		{savingKeys, reflect.TypeOf(savingJSON{})},
+	} {
+		tags := make([]string, c.typ.NumField())
+		for i := range tags {
+			tags[i], _, _ = strings.Cut(c.typ.Field(i).Tag.Get("json"), ",")
+		}
+		if !reflect.DeepEqual(c.keys, tags) {
+			t.Errorf("Lexer reads keys %q, %v has json keys %q", c.keys, c.typ, tags)
+		}
 	}
 }
 
