@@ -75,31 +75,43 @@ func BenchmarkKernelFlip(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelCollectBelow measures the candidate pass of the DA's
-// parallel trial step that follows a rejected step: one tight scan over the
-// flat delta array.
-func BenchmarkKernelCollectBelow(b *testing.B) {
+// BenchmarkKernelCountBelow measures the candidate count of the DA's
+// parallel trial step that follows a rejected step: one tight pass over
+// the flat delta array.
+func BenchmarkKernelCountBelow(b *testing.B) {
 	st, theta := benchBisection(b)
-	buf := make([]int32, st.Model().NumVariables())
 	b.ResetTimer()
 	acc := 0
 	for i := 0; i < b.N; i++ {
-		acc += st.CollectBelow(theta, buf)
+		acc += st.CountBelow(theta)
 	}
 	_ = acc
 }
 
-// BenchmarkKernelFlipCollect measures the accepted step's fused pass on a
-// dense bisection row: the flip's delta updates and the next step's
-// candidate collection in one loop.
-func BenchmarkKernelFlipCollect(b *testing.B) {
+// BenchmarkKernelPickBelow measures the pick of an accepted step: finding
+// the candidate a draw selects, here the middle one, the mean position of
+// a uniform draw.
+func BenchmarkKernelPickBelow(b *testing.B) {
 	st, theta := benchBisection(b)
-	n := st.Model().NumVariables()
-	buf := make([]int32, n)
+	k := st.CountBelow(theta) / 2
 	b.ResetTimer()
 	acc := 0
 	for i := 0; i < b.N; i++ {
-		acc += st.FlipCollect(i%n, theta, buf)
+		acc += st.PickBelow(theta, k)
+	}
+	_ = acc
+}
+
+// BenchmarkKernelFlipCount measures the accepted step's fused pass on a
+// dense bisection row: the flip's delta updates and the next step's
+// candidate count in one loop.
+func BenchmarkKernelFlipCount(b *testing.B) {
+	st, theta := benchBisection(b)
+	n := st.Model().NumVariables()
+	b.ResetTimer()
+	acc := 0
+	for i := 0; i < b.N; i++ {
+		acc += st.FlipCount(i%n, theta)
 	}
 	_ = acc
 }

@@ -1,9 +1,9 @@
 package qubo
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -87,19 +87,54 @@ func kernelModels(rng *rand.Rand, n int) []namedModel {
 	}
 }
 
-// pickTheta returns either a random threshold or one exactly equal to a
-// delta of st, which strict-< selection must exclude.
+// pickTheta returns a random threshold, one exactly equal to a delta of
+// st, which strict-< selection must exclude, or an infinite, NaN or signed
+// zero threshold.
 func pickTheta(rng *rand.Rand, st *State) float64 {
-	if rng.Intn(2) == 0 {
+	switch rng.Intn(4) {
+	case 0:
 		return st.DeltaEnergy(rng.Intn(st.Model().NumVariables()))
+	case 1:
+		special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+		return special[rng.Intn(len(special))]
 	}
 	return rng.NormFloat64() * 20
 }
 
+// checkCountAndPick fails unless CountBelow(theta) on st is the length of
+// the naive list want, PickBelow(theta, k) is want[k] for every k, and
+// PickBelow panics one past the last candidate.
+func checkCountAndPick(t *testing.T, what string, st *State, theta float64, want []int32) bool {
+	t.Helper()
+	if got := st.CountBelow(theta); got != len(want) {
+		t.Errorf("%s: CountBelow(%v) = %d, want %d", what, theta, got, len(want))
+		return false
+	}
+	for k, v := range want {
+		if got := st.PickBelow(theta, k); got != int(v) {
+			t.Errorf("%s: PickBelow(%v, %d) = %d, want %d", what, theta, k, got, v)
+			return false
+		}
+	}
+	if !panics(func() { st.PickBelow(theta, len(want)) }) {
+		t.Errorf("%s: PickBelow(%v, %d) past the last candidate did not panic", what, theta, len(want))
+		return false
+	}
+	return true
+}
+
+// panics reports whether f panics.
+func panics(f func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	f()
+	return false
+}
+
 // TestCandidateKernelsMatchNaiveProperty checks the parallel-trial kernels
-// against the naive scan: CollectBelow returns exactly the strict-< list in
-// ascending order, and FlipCollect leaves x, the energy and every delta
-// bit-equal to Flip while returning the naive list of the flipped state.
+// against the naive scan: CountBelow returns the length of the strict-<
+// list, PickBelow its k-th entry for every k, and FlipCount leaves x, the
+// energy and every delta bit-equal to Flip while returning the naive count
+// of the flipped state.
 func TestCandidateKernelsMatchNaiveProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -107,28 +142,25 @@ func TestCandidateKernelsMatchNaiveProperty(t *testing.T) {
 		for _, km := range kernelModels(rng, n) {
 			fused := NewRandomState(km.m, rng)
 			ref := fused.Copy()
-			buf := make([]int32, n)
 			for step := 0; step < 30; step++ {
 				theta := pickTheta(rng, ref)
-				if got := buf[:ref.CollectBelow(theta, buf)]; !slices.Equal(got, belowNaive(ref, theta)) {
-					t.Errorf("seed %d %s: CollectBelow(%v) = %v, want %v", seed, km.name, theta, got, belowNaive(ref, theta))
+				if !checkCountAndPick(t, fmt.Sprintf("seed %d %s", seed, km.name), ref, theta, belowNaive(ref, theta)) {
 					return false
 				}
 				i := rng.Intn(n)
 				ref.Flip(i)
 				theta = pickTheta(rng, ref)
-				got := buf[:fused.FlipCollect(i, theta, buf)]
-				if want := belowNaive(ref, theta); !slices.Equal(got, want) {
-					t.Errorf("seed %d %s: FlipCollect(%d, %v) = %v, want %v", seed, km.name, i, theta, got, want)
+				if got, want := fused.FlipCount(i, theta), len(belowNaive(ref, theta)); got != want {
+					t.Errorf("seed %d %s: FlipCount(%d, %v) = %d, want %d", seed, km.name, i, theta, got, want)
 					return false
 				}
 				if math.Float64bits(fused.Energy()) != math.Float64bits(ref.Energy()) {
-					t.Errorf("seed %d %s: energy %v after FlipCollect, Flip gives %v", seed, km.name, fused.Energy(), ref.Energy())
+					t.Errorf("seed %d %s: energy %v after FlipCount, Flip gives %v", seed, km.name, fused.Energy(), ref.Energy())
 					return false
 				}
 				for v := 0; v < n; v++ {
 					if fused.Get(v) != ref.Get(v) || math.Float64bits(fused.DeltaEnergy(v)) != math.Float64bits(ref.DeltaEnergy(v)) {
-						t.Errorf("seed %d %s: variable %d differs after FlipCollect(%d)", seed, km.name, v, i)
+						t.Errorf("seed %d %s: variable %d differs after FlipCount(%d)", seed, km.name, v, i)
 						return false
 					}
 				}

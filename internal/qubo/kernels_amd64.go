@@ -9,34 +9,45 @@ var useAVX2 = cpuHasAVX2()
 // cpuHasAVX2 reads CPUID and XCR0; implemented in kernels_amd64.s.
 func cpuHasAVX2() bool
 
-// collectBelowAVX2 is collectBelowGo for count = 0 with buf holding exactly
-// len(delta) entries; it returns the number of indices written.
+// countBelowAVX2 is countBelowGo.
 //
 //go:noescape
-func collectBelowAVX2(delta []float64, theta float64, base int32, buf []int32) int
+func countBelowAVX2(delta []float64, theta float64) int
 
-// collectBelow is collectBelowGo, in AVX2 when the CPU has it. The
-// assembly writes only inside the resliced buf, so a short buffer panics
-// here instead.
-func collectBelow(delta []float64, theta float64, base int32, buf []int32, count int) int {
+// countBelow is countBelowGo, in AVX2 when the CPU has it.
+func countBelow(delta []float64, theta float64) int {
 	if !useAVX2 {
-		return collectBelowGo(delta, theta, base, buf, count)
+		return countBelowGo(delta, theta)
 	}
-	return count + collectBelowAVX2(delta, theta, base, buf[count:count+len(delta)])
+	return countBelowAVX2(delta, theta)
 }
 
-// flipRowCollectAVX2 is flipRowCollectGo for count = 0 with delta, xsign
-// and buf exactly as long as coef; it returns the number of indices
-// written.
+// pickBelowAVX2 is pickBelowGo.
 //
 //go:noescape
-func flipRowCollectAVX2(delta, xsign, coef []float64, sign, theta float64, base int32, buf []int32) int
+func pickBelowAVX2(delta []float64, theta float64, k int) int
 
-// flipRowCollect is flipRowCollectGo, in AVX2 when the CPU has it.
-func flipRowCollect(delta, xsign, coef []float64, sign, theta float64, base int32, buf []int32, count int) int {
+// pickBelow is pickBelowGo, in AVX2 when the CPU has it.
+func pickBelow(delta []float64, theta float64, k int) int {
 	if !useAVX2 {
-		return flipRowCollectGo(delta, xsign, coef, sign, theta, base, buf, count)
+		return pickBelowGo(delta, theta, k)
+	}
+	return pickBelowAVX2(delta, theta, k)
+}
+
+// flipRowCountAVX2 is flipRowCountGo with delta and xsign exactly as long
+// as coef.
+//
+//go:noescape
+func flipRowCountAVX2(delta, xsign, coef []float64, sign, theta float64) int
+
+// flipRowCount is flipRowCountGo, in AVX2 when the CPU has it. The
+// assembly reads only inside the resliced delta and xsign, so short ones
+// panic here instead.
+func flipRowCount(delta, xsign, coef []float64, sign, theta float64) int {
+	if !useAVX2 {
+		return flipRowCountGo(delta, xsign, coef, sign, theta)
 	}
 	n := len(coef)
-	return count + flipRowCollectAVX2(delta[:n], xsign[:n], coef, sign, theta, base, buf[count:count+n])
+	return flipRowCountAVX2(delta[:n], xsign[:n], coef, sign, theta)
 }

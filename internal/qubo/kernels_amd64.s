@@ -3,59 +3,27 @@
 #include "textflag.h"
 
 // AVX2 candidate kernels of the parallel-trial step. Each must return the
-// same count and indices as its Go loop in state.go. Every instruction is
+// same result as its Go loop in state.go. Every instruction is
 // VEX-encoded, the scalar tails included, and VZEROUPPER runs at entry and
 // exit: legacy-SSE encodings among the 256-bit operations cost more than
 // the vector loop saves.
 //
 // A group of four deltas is selected with one VCMPPD whose predicate,
 // θ > delta (GT_OQ), is false when either side is NaN, as Go's delta < θ
-// is. VMOVMSKPD turns the selection into a 4-bit mask; the mask picks a
-// VPSHUFB control from packLanes that moves the selected lanes of the
-// running index vector [i, i+1, i+2, i+3] to the front; one 16-byte store
-// writes them at buf[count], and POPCNT advances count. The store stays
-// inside buf because count ≤ i.
+// is. A selected lane is all ones, −1 as an int64, so the counting kernels
+// subtract the selection from a vector of lane counts and store nothing.
+// The pick kernel turns selections into bit masks with VMOVMSKPD and
+// counts them with POPCNT until it reaches the mask holding its candidate.
+// The scalar tails test one delta with VUCOMISD, whose "above" condition
+// is θ > delta and is false when either side is NaN.
 
-// packLanes holds, for each 4-bit mask, the VPSHUFB control that packs the
-// int32 lanes whose mask bits are set to the front, in lane order.
-DATA packLanes<>+0x00(SB)/8, $0x8080808080808080
-DATA packLanes<>+0x08(SB)/8, $0x8080808080808080
-DATA packLanes<>+0x10(SB)/8, $0x8080808003020100
-DATA packLanes<>+0x18(SB)/8, $0x8080808080808080
-DATA packLanes<>+0x20(SB)/8, $0x8080808007060504
-DATA packLanes<>+0x28(SB)/8, $0x8080808080808080
-DATA packLanes<>+0x30(SB)/8, $0x0706050403020100
-DATA packLanes<>+0x38(SB)/8, $0x8080808080808080
-DATA packLanes<>+0x40(SB)/8, $0x808080800b0a0908
-DATA packLanes<>+0x48(SB)/8, $0x8080808080808080
-DATA packLanes<>+0x50(SB)/8, $0x0b0a090803020100
-DATA packLanes<>+0x58(SB)/8, $0x8080808080808080
-DATA packLanes<>+0x60(SB)/8, $0x0b0a090807060504
-DATA packLanes<>+0x68(SB)/8, $0x8080808080808080
-DATA packLanes<>+0x70(SB)/8, $0x0706050403020100
-DATA packLanes<>+0x78(SB)/8, $0x808080800b0a0908
-DATA packLanes<>+0x80(SB)/8, $0x808080800f0e0d0c
-DATA packLanes<>+0x88(SB)/8, $0x8080808080808080
-DATA packLanes<>+0x90(SB)/8, $0x0f0e0d0c03020100
-DATA packLanes<>+0x98(SB)/8, $0x8080808080808080
-DATA packLanes<>+0xa0(SB)/8, $0x0f0e0d0c07060504
-DATA packLanes<>+0xa8(SB)/8, $0x8080808080808080
-DATA packLanes<>+0xb0(SB)/8, $0x0706050403020100
-DATA packLanes<>+0xb8(SB)/8, $0x808080800f0e0d0c
-DATA packLanes<>+0xc0(SB)/8, $0x0f0e0d0c0b0a0908
-DATA packLanes<>+0xc8(SB)/8, $0x8080808080808080
-DATA packLanes<>+0xd0(SB)/8, $0x0b0a090803020100
-DATA packLanes<>+0xd8(SB)/8, $0x808080800f0e0d0c
-DATA packLanes<>+0xe0(SB)/8, $0x0b0a090807060504
-DATA packLanes<>+0xe8(SB)/8, $0x808080800f0e0d0c
-DATA packLanes<>+0xf0(SB)/8, $0x0706050403020100
-DATA packLanes<>+0xf8(SB)/8, $0x0f0e0d0c0b0a0908
-GLOBL packLanes<>(SB), RODATA|NOPTR, $256
-
-// laneOffsets is the int32 vector [0, 1, 2, 3].
-DATA laneOffsets<>+0x00(SB)/8, $0x0000000100000000
-DATA laneOffsets<>+0x08(SB)/8, $0x0000000300000002
-GLOBL laneOffsets<>(SB), RODATA|NOPTR, $16
+// SUM_LANES sets AX to the sum of the four int64 lanes of Y1, using X2.
+#define SUM_LANES \
+	VEXTRACTI128 $1, Y1, X2; \
+	VPADDQ       X2, X1, X1; \
+	VPSHUFD      $0x4e, X1, X2; \
+	VPADDQ       X2, X1, X1; \
+	VMOVQ        X1, AX
 
 // func cpuHasAVX2() bool
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
@@ -92,80 +60,177 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 done:
 	RET
 
-// INIT_INDICES loads the state shared by both kernels: R8 = &packLanes,
-// X1 = [base, base+1, base+2, base+3], X2 = [4, 4, 4, 4], the group loop's
-// bound R10 = len &^ 3 (len in CX), and count AX = 0.
-#define INIT_INDICES(base) \
-	LEAQ         packLanes<>(SB), R8; \
-	MOVL         base, R11; \
-	VMOVD        R11, X1; \
-	VPBROADCASTD X1, X1; \
-	VPADDD       laneOffsets<>(SB), X1, X1; \
-	MOVL         $4, R9; \
-	VMOVD        R9, X2; \
-	VPBROADCASTD X2, X2; \
-	MOVQ         CX, R10; \
-	ANDQ         $-4, R10; \
-	XORQ         AX, AX
-
-// PACK_INDICES appends the index lanes of X1 selected by the VCMPPD result
-// in sel to buf (DI) at count AX, then steps X1 to the next group.
-#define PACK_INDICES(sel) \
-	VMOVMSKPD sel, DX; \
-	MOVL      DX, R9; \
-	POPCNTL   R9, R9; \
-	SHLL      $4, DX; \
-	VPSHUFB   (R8)(DX*1), X1, X4; \
-	VMOVDQU   X4, (DI)(AX*4); \
-	ADDQ      R9, AX; \
-	VPADDD    X2, X1, X1
-
-// func collectBelowAVX2(delta []float64, theta float64, base int32, buf []int32) int
-TEXT ·collectBelowAVX2(SB), NOSPLIT, $0-72
+// func countBelowAVX2(delta []float64, theta float64) int
+TEXT ·countBelowAVX2(SB), NOSPLIT, $0-40
 	VZEROUPPER
 	MOVQ         delta_base+0(FP), SI
 	MOVQ         delta_len+8(FP), CX
 	VBROADCASTSD theta+24(FP), Y0
-	MOVQ         buf_base+40(FP), DI
-	INIT_INDICES(base+32(FP))
+	VPXOR        Y1, Y1, Y1
+	VPXOR        Y2, Y2, Y2
+	VPXOR        Y3, Y3, Y3
+	VPXOR        Y4, Y4, Y4
 
-	// SI walks the deltas; R10 and CX become the end of the full groups
-	// and of the slice.
+	// SI walks the deltas; R10, R11 and CX become the ends of the blocks
+	// of sixteen, of the groups of four and of the slice.
+	MOVQ CX, R10
+	ANDQ $-16, R10
 	LEAQ (SI)(R10*8), R10
+	MOVQ CX, R11
+	ANDQ $-4, R11
+	LEAQ (SI)(R11*8), R11
 	LEAQ (SI)(CX*8), CX
 	CMPQ SI, R10
-	JAE  scanTail
+	JAE  countGroups
 
-scanGroup:
-	VCMPPD $0x1e, (SI), Y0, Y3
-	PACK_INDICES(Y3)
-	ADDQ   $32, SI
+countBlock:
+	// Four accumulators keep the subtractions independent of each other.
+	VCMPPD $0x1e, (SI), Y0, Y5
+	VCMPPD $0x1e, 32(SI), Y0, Y6
+	VCMPPD $0x1e, 64(SI), Y0, Y7
+	VCMPPD $0x1e, 96(SI), Y0, Y8
+	VPSUBQ Y5, Y1, Y1
+	VPSUBQ Y6, Y2, Y2
+	VPSUBQ Y7, Y3, Y3
+	VPSUBQ Y8, Y4, Y4
+	ADDQ   $128, SI
 	CMPQ   SI, R10
-	JB     scanGroup
+	JB     countBlock
 
-scanTail:
-	// One delta at a time: write its index, keep it when θ > delta.
-	VMOVD X1, R11
-	CMPQ  SI, CX
-	JAE   scanDone
+countGroups:
+	CMPQ SI, R11
+	JAE  countSum
 
-scanOne:
-	MOVL     R11, (DI)(AX*4)
+countGroup:
+	VCMPPD $0x1e, (SI), Y0, Y5
+	VPSUBQ Y5, Y1, Y1
+	ADDQ   $32, SI
+	CMPQ   SI, R11
+	JB     countGroup
+
+countSum:
+	VPADDQ Y2, Y1, Y1
+	VPADDQ Y4, Y3, Y3
+	VPADDQ Y3, Y1, Y1
+	SUM_LANES
+	CMPQ   SI, CX
+	JAE    countDone
+
+countOne:
 	LEAQ     1(AX), R9
 	VUCOMISD (SI), X0
 	CMOVQHI  R9, AX
-	INCL     R11
 	ADDQ     $8, SI
 	CMPQ     SI, CX
-	JB       scanOne
+	JB       countOne
 
-scanDone:
+countDone:
 	VZEROUPPER
-	MOVQ AX, ret+64(FP)
+	MOVQ AX, ret+32(FP)
 	RET
 
-// func flipRowCollectAVX2(delta, xsign, coef []float64, sign, theta float64, base int32, buf []int32) int
-TEXT ·flipRowCollectAVX2(SB), NOSPLIT, $0-128
+// func pickBelowAVX2(delta []float64, theta float64, k int) int
+TEXT ·pickBelowAVX2(SB), NOSPLIT, $0-48
+	VZEROUPPER
+	MOVQ         delta_base+0(FP), SI
+	MOVQ         delta_len+8(FP), CX
+	VBROADCASTSD theta+24(FP), Y0
+	MOVQ         k+32(FP), BX
+
+	// DX indexes the deltas and BX counts the candidates still to skip;
+	// R10 and R11 are the ends of the blocks of sixteen and of the groups
+	// of four. The comparisons with BX are unsigned, so a negative k is
+	// never reached, as in the Go loop.
+	XORQ DX, DX
+	MOVQ CX, R10
+	ANDQ $-16, R10
+	MOVQ CX, R11
+	ANDQ $-4, R11
+	CMPQ DX, R10
+	JAE  pickGroups
+
+pickBlock:
+	// Bit b of the block's 16-bit mask selects delta DX+b.
+	VCMPPD    $0x1e, (SI)(DX*8), Y0, Y1
+	VCMPPD    $0x1e, 32(SI)(DX*8), Y0, Y2
+	VCMPPD    $0x1e, 64(SI)(DX*8), Y0, Y3
+	VCMPPD    $0x1e, 96(SI)(DX*8), Y0, Y4
+	VMOVMSKPD Y1, AX
+	VMOVMSKPD Y2, R8
+	VMOVMSKPD Y3, R9
+	VMOVMSKPD Y4, R12
+	SHLL      $4, R8
+	SHLL      $8, R9
+	SHLL      $12, R12
+	ORL       R8, AX
+	ORL       R9, AX
+	ORL       R12, AX
+	POPCNTL   AX, R8
+	CMPQ      BX, R8
+	JB        pickFound
+	SUBQ      R8, BX
+	ADDQ      $16, DX
+	CMPQ      DX, R10
+	JB        pickBlock
+
+pickGroups:
+	CMPQ DX, R11
+	JAE  pickTail
+
+pickGroup:
+	VCMPPD    $0x1e, (SI)(DX*8), Y0, Y1
+	VMOVMSKPD Y1, AX
+	POPCNTL   AX, R8
+	CMPQ      BX, R8
+	JB        pickFound
+	SUBQ      R8, BX
+	ADDQ      $4, DX
+	CMPQ      DX, R11
+	JB        pickGroup
+
+pickTail:
+	CMPQ DX, CX
+	JAE  pickNone
+
+pickOne:
+	VUCOMISD (SI)(DX*8), X0
+	JLS      pickNext
+	TESTQ    BX, BX
+	JZ       pickDone
+	DECQ     BX
+
+pickNext:
+	INCQ DX
+	CMPQ DX, CX
+	JB   pickOne
+
+pickNone:
+	MOVQ $-1, DX
+	JMP  pickDone
+
+pickFound:
+	// The mask in AX holds more than BX candidates: clear its BX lowest
+	// set bits, and the lowest one left is the candidate.
+	TESTQ BX, BX
+	JZ    pickBit
+
+pickClear:
+	LEAL -1(AX), R8
+	ANDL R8, AX
+	DECQ BX
+	JNZ  pickClear
+
+pickBit:
+	BSFL AX, AX
+	ADDQ AX, DX
+
+pickDone:
+	VZEROUPPER
+	MOVQ DX, ret+40(FP)
+	RET
+
+// func flipRowCountAVX2(delta, xsign, coef []float64, sign, theta float64) int
+TEXT ·flipRowCountAVX2(SB), NOSPLIT, $0-96
 	VZEROUPPER
 	MOVQ         delta_base+0(FP), SI
 	MOVQ         xsign_base+24(FP), R12
@@ -173,11 +238,12 @@ TEXT ·flipRowCollectAVX2(SB), NOSPLIT, $0-128
 	MOVQ         coef_len+56(FP), CX
 	VBROADCASTSD sign+72(FP), Y5
 	VBROADCASTSD theta+80(FP), Y0
-	MOVQ         buf_base+96(FP), DI
-	INIT_INDICES(base+88(FP))
+	VPXOR        Y1, Y1, Y1
+	MOVQ         CX, R10
+	ANDQ         $-4, R10
 	XORQ         BX, BX
 	CMPQ         BX, R10
-	JAE          flipTail
+	JAE          flipSum
 
 flipGroup:
 	// delta + sign·coef·xsign as the Go loop computes it: two rounded
@@ -188,15 +254,15 @@ flipGroup:
 	VADDPD  (SI)(BX*8), Y3, Y3
 	VMOVUPD Y3, (SI)(BX*8)
 	VCMPPD  $0x1e, Y3, Y0, Y3
-	PACK_INDICES(Y3)
+	VPSUBQ  Y3, Y1, Y1
 	ADDQ    $4, BX
 	CMPQ    BX, R10
 	JB      flipGroup
 
-flipTail:
-	VMOVD X1, R11
-	CMPQ  BX, CX
-	JAE   flipDone
+flipSum:
+	SUM_LANES
+	CMPQ BX, CX
+	JAE  flipDone
 
 flipOne:
 	VMOVSD   (R13)(BX*8), X3
@@ -204,16 +270,14 @@ flipOne:
 	VMULSD   (R12)(BX*8), X3, X3
 	VADDSD   (SI)(BX*8), X3, X3
 	VMOVSD   X3, (SI)(BX*8)
-	MOVL     R11, (DI)(AX*4)
 	LEAQ     1(AX), R9
 	VUCOMISD X3, X0
 	CMOVQHI  R9, AX
-	INCL     R11
 	INCQ     BX
 	CMPQ     BX, CX
 	JB       flipOne
 
 flipDone:
 	VZEROUPPER
-	MOVQ AX, ret+120(FP)
+	MOVQ AX, ret+88(FP)
 	RET

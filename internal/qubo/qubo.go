@@ -40,7 +40,7 @@ type Model struct {
 	// Row i of the adjacency is rowStart[i] ≤ k < rowStart[i+1]: nbr[k] is
 	// a variable coupled to i and coef[k] the coupling, covering every
 	// quadratic term incident to i in ascending neighbour order. Each row's
-	// coefficients are contiguous, so the dense FlipCollect kernel reads
+	// coefficients are contiguous, so the dense FlipCount kernel reads
 	// them as one vector stream; it relies on the ascending order.
 	rowStart []int32
 	nbr      []int32

@@ -7,15 +7,16 @@ import "math/rand"
 // field_i = c_ii + Σ_j c_ij·x_j, i.e. the energy change of flipping
 // variable i. Keeping the deltas themselves — rather than the raw local
 // fields annealing hardware stores — means the acceptance test is a single
-// array read and the annealers' candidate scan is a tight loop over one
-// contiguous float64 slice (CollectBelow). A flip updates the array in
+// array read and the annealers' candidate passes are tight loops over one
+// contiguous float64 slice: CountBelow counts the accepted candidates and
+// PickBelow finds the one a draw selects. A flip updates the array in
 // O(degree) with one branch-free signed addition per neighbour, reading the
-// flipped variable's adjacency row; FlipCollect also gathers the next
+// flipped variable's adjacency row; FlipCount also counts the next
 // parallel-trial step's candidates, in the same loop when the flipped row
-// is dense. On amd64 with AVX2 the scan and the dense fused loop run as
-// assembly kernels (kernels_amd64.s) that produce the same bits as the Go
-// loops. This is the data structure behind both the classical SA baseline
-// and the Digital Annealer simulator's parallel trial step.
+// is dense. On amd64 with AVX2 the passes and the dense fused loop run as
+// assembly kernels (kernels_amd64.s) that produce the same results as the
+// Go loops. This is the data structure behind both the classical SA
+// baseline and the Digital Annealer simulator's parallel trial step.
 type State struct {
 	m *Model
 	x []int8
@@ -104,12 +105,23 @@ func (s *State) DeltaEnergy(i int) float64 { return s.delta[i] }
 // DeltaEnergy per variable.
 func (s *State) Deltas() []float64 { return s.delta }
 
-// CollectBelow writes the ascending indices of the variables whose flip
-// delta is strictly below theta into buf and returns their count: the
-// accepted candidates of the Digital Annealer's parallel trial step, in one
-// tight pass over the delta array. buf must hold NumVariables entries.
-func (s *State) CollectBelow(theta float64, buf []int32) int {
-	return collectBelow(s.delta, theta, 0, buf, 0)
+// CountBelow returns how many variables have a flip delta strictly below
+// theta: the number of accepted candidates of the Digital Annealer's
+// parallel trial step, in one pass over the delta array with no stores.
+func (s *State) CountBelow(theta float64) int {
+	return countBelow(s.delta, theta)
+}
+
+// PickBelow returns the k-th (from 0) variable, in ascending order, whose
+// flip delta is strictly below theta: the candidate a uniform draw
+// k < CountBelow(theta) selects. It panics when fewer than k+1 deltas are
+// below theta.
+func (s *State) PickBelow(theta float64, k int) int {
+	i := pickBelow(s.delta, theta, k)
+	if i < 0 {
+		panic("qubo: PickBelow past the last delta below theta")
+	}
+	return i
 }
 
 // Flip toggles variable i, updating energy and neighbour deltas in
@@ -131,16 +143,16 @@ func (s *State) Flip(i int) {
 	}
 }
 
-// FlipCollect performs Flip(i) and returns CollectBelow(theta, buf) on the
-// flipped state. When i's row is dense (coupled to every other variable,
-// as in a graph-bisection QUBO) the two are one pass: each neighbour's
-// delta is collected as soon as it is updated. A sparse row flips, then
-// collects. Either way every delta and the energy end bit-equal to Flip's.
-func (s *State) FlipCollect(i int, theta float64, buf []int32) int {
+// FlipCount performs Flip(i) and returns CountBelow(theta) on the flipped
+// state. When i's row is dense (coupled to every other variable, as in a
+// graph-bisection QUBO) the two are one pass: each neighbour's delta is
+// counted as soon as it is updated. A sparse row flips, then counts. Either
+// way every delta and the energy end bit-equal to Flip's.
+func (s *State) FlipCount(i int, theta float64) int {
 	lo, hi := s.m.rowStart[i], s.m.rowStart[i+1]
 	if int(hi-lo) != len(s.delta)-1 {
 		s.Flip(i)
-		return s.CollectBelow(theta, buf)
+		return s.CountBelow(theta)
 	}
 	coef := s.m.coef[lo:hi]
 	d := s.delta[i]
@@ -148,29 +160,23 @@ func (s *State) FlipCollect(i int, theta float64, buf []int32) int {
 	s.x[i] ^= 1
 	s.xsign[i] = -sign
 	s.energy += d
-	// A dense row lists the neighbours 0..i−1, i+1..n−1 in order, so its
-	// halves reach the variables below and above i in ascending order, and
-	// i's own delta is collected between them.
-	count := flipRowCollect(s.delta[:i], s.xsign[:i], coef[:i], sign, theta, 0, buf, 0)
 	s.delta[i] = -d
-	buf[count] = int32(i)
+	// A dense row lists the neighbours 0..i−1, i+1..n−1 in order, so its
+	// halves line up with the variables below and above i.
+	count := flipRowCount(s.delta[:i], s.xsign[:i], coef[:i], sign, theta) +
+		flipRowCount(s.delta[i+1:], s.xsign[i+1:], coef[i:], sign, theta)
 	if -d < theta {
 		count++
 	}
-	return flipRowCollect(s.delta[i+1:], s.xsign[i+1:], coef[i:], sign, theta, int32(i+1), buf, count)
+	return count
 }
 
-// collectBelowGo appends to buf[:count] the indices base+k of the deltas
-// delta[k] strictly below theta, in ascending order, and returns the new
-// count. buf must hold count+len(delta) entries. It is the candidate scan
-// wherever the assembly kernel does not run (see collectBelow) and the
+// countBelowGo returns how many deltas are strictly below theta. It is the
+// count wherever the assembly kernel does not run (see countBelow) and the
 // reference that kernel is tested against.
-func collectBelowGo(delta []float64, theta float64, base int32, buf []int32, count int) int {
-	buf = buf[:count+len(delta)]
-	for k, d := range delta {
-		// Write every index and keep it only when accepted: the loop has
-		// no data-dependent branch.
-		buf[count] = base + int32(k)
+func countBelowGo(delta []float64, theta float64) int {
+	count := 0
+	for _, d := range delta {
 		if d < theta {
 			count++
 		}
@@ -178,20 +184,34 @@ func collectBelowGo(delta []float64, theta float64, base int32, buf []int32, cou
 	return count
 }
 
-// flipRowCollectGo applies a flip with the given sign to the consecutive
-// variables base, base+1, … whose deltas, signs and couplings to the
-// flipped variable are delta, xsign and coef, and appends those whose new
-// delta is below theta to buf[:count]. It returns the new count. Like
-// collectBelowGo, it is the kernel wherever the assembly does not run (see
-// flipRowCollect) and that kernel's reference.
-func flipRowCollectGo(delta, xsign, coef []float64, sign, theta float64, base int32, buf []int32, count int) int {
+// pickBelowGo returns the index of the k-th (from 0) delta strictly below
+// theta, or −1 when fewer than k+1 are. Like countBelowGo, it is the kernel
+// wherever the assembly does not run (see pickBelow) and its reference.
+func pickBelowGo(delta []float64, theta float64, k int) int {
+	for i, d := range delta {
+		if d < theta {
+			if k == 0 {
+				return i
+			}
+			k--
+		}
+	}
+	return -1
+}
+
+// flipRowCountGo applies a flip with the given sign to the consecutive
+// variables whose deltas, signs and couplings to the flipped variable are
+// delta, xsign and coef, and returns how many of the new deltas are below
+// theta. It is the kernel wherever the assembly does not run (see
+// flipRowCount) and that kernel's reference.
+func flipRowCountGo(delta, xsign, coef []float64, sign, theta float64) int {
 	delta, xsign = delta[:len(coef)], xsign[:len(coef)]
+	count := 0
 	for k, c := range coef {
 		// The same float operations as Flip, so the deltas match it bit
 		// for bit.
 		dk := delta[k] + sign*c*xsign[k]
 		delta[k] = dk
-		buf[count] = base + int32(k)
 		if dk < theta {
 			count++
 		}
