@@ -9,10 +9,11 @@
 package mqo
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Saving is a cost-sharing opportunity between two execution plans that
@@ -109,11 +110,11 @@ func (p *Problem) setSavings(savings []Saving) error {
 		}
 		cs[i] = s
 	}
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].P1 != cs[j].P1 {
-			return cs[i].P1 < cs[j].P1
+	slices.SortFunc(cs, func(a, b Saving) int {
+		if c := cmp.Compare(a.P1, b.P1); c != 0 {
+			return c
 		}
-		return cs[i].P2 < cs[j].P2
+		return cmp.Compare(a.P2, b.P2)
 	})
 	for i := 1; i < len(cs); i++ {
 		if cs[i].P1 == cs[i-1].P1 && cs[i].P2 == cs[i-1].P2 {
@@ -121,7 +122,24 @@ func (p *Problem) setSavings(savings []Saving) error {
 		}
 	}
 	p.savings = cs
+	// Every plan's saving indices are a window of one backing array, sized
+	// by a degree count and filled in saving order; the windows' capacities
+	// end where the next begins. A plan without savings keeps a nil list.
+	start := make([]int, len(p.cost)+1)
+	for _, s := range cs {
+		start[s.P1+1]++
+		start[s.P2+1]++
+	}
+	for pl := range p.cost {
+		start[pl+1] += start[pl]
+	}
+	backing := make([]int, 2*len(cs))
 	p.adj = make([][]int, len(p.cost))
+	for pl := range p.adj {
+		if lo, hi := start[pl], start[pl+1]; hi > lo {
+			p.adj[pl] = backing[lo:lo:hi]
+		}
+	}
 	for i, s := range cs {
 		p.adj[s.P1] = append(p.adj[s.P1], i)
 		p.adj[s.P2] = append(p.adj[s.P2], i)
