@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -757,6 +758,42 @@ func waitForQueued(t *testing.T, s *Server, priority string) {
 func TestNewRejectsBadDefaultPriority(t *testing.T) {
 	if _, err := New(Config{DefaultPriority: "asap"}); err == nil {
 		t.Fatal("New accepted an unknown default priority")
+	}
+}
+
+// TestServeBoundsHeaderRead checks that the HTTP server Serve builds gives
+// a connection a bounded time to send its headers: without one, a client
+// that trickles header bytes holds its connection's goroutine for good.
+func TestServeBoundsHeaderRead(t *testing.T) {
+	s, err := New(Config{Fleet: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(l) }()
+	var srv *http.Server
+	for deadline := time.Now().Add(5 * time.Second); srv == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("Serve never built its HTTP server")
+		}
+		s.mu.Lock()
+		srv = s.httpSrv
+		s.mu.Unlock()
+	}
+	if got := srv.ReadHeaderTimeout; got <= 0 || got != headerTimeout {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", got, headerTimeout)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != http.ErrServerClosed {
+		t.Fatalf("Serve returned %v, want http.ErrServerClosed", err)
 	}
 }
 

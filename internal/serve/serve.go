@@ -624,11 +624,16 @@ func (s *Server) queueDepth() int { return s.queue.len() }
 // listener or an httptest server.
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// headerTimeout bounds how long a connection may take to send a request's
+// headers, so a client that trickles them cannot hold the connection's
+// goroutine indefinitely.
+const headerTimeout = 10 * time.Second
+
 // Serve accepts connections on l until Shutdown. It returns
 // http.ErrServerClosed after a clean shutdown, like net/http.
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
-	s.httpSrv = &http.Server{Handler: s.mux}
+	s.httpSrv = &http.Server{Handler: s.mux, ReadHeaderTimeout: headerTimeout}
 	srv := s.httpSrv
 	s.mu.Unlock()
 	return srv.Serve(l)
