@@ -4,11 +4,19 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"incranneal/internal/cpu"
 )
 
 // Kernel micro-benchmarks: the inner-loop primitives every annealing
 // simulator is built from. CI runs every benchmark once as a smoke test;
 // EXPERIMENTS.md ("Kernel micro-benchmarks") keeps the recorded full runs.
+
+// eachLevel runs bench once per kernel level this CPU has (go, avx2,
+// avx512), as sub-benchmarks named after the level.
+func eachLevel(b *testing.B, bench func(b *testing.B)) {
+	cpu.Each(func(l cpu.Level) { b.Run(l.String(), bench) })
+}
 
 func benchKernelState(b *testing.B) *State {
 	b.Helper()
@@ -65,14 +73,16 @@ func benchBisection(b *testing.B) (*State, float64) {
 }
 
 // BenchmarkKernelFlip measures the O(degree) incremental flip including
-// delta-array maintenance.
+// delta-array maintenance on sparse rows.
 func BenchmarkKernelFlip(b *testing.B) {
-	st := benchKernelState(b)
-	n := st.Model().NumVariables()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.Flip(i % n)
-	}
+	eachLevel(b, func(b *testing.B) {
+		st := benchKernelState(b)
+		n := st.Model().NumVariables()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			st.Flip(i % n)
+		}
+	})
 }
 
 // BenchmarkKernelCountBelow measures the candidate count of the DA's
@@ -80,12 +90,13 @@ func BenchmarkKernelFlip(b *testing.B) {
 // the flat delta array.
 func BenchmarkKernelCountBelow(b *testing.B) {
 	st, theta := benchBisection(b)
-	b.ResetTimer()
-	acc := 0
-	for i := 0; i < b.N; i++ {
-		acc += st.CountBelow(theta)
-	}
-	_ = acc
+	eachLevel(b, func(b *testing.B) {
+		acc := 0
+		for i := 0; i < b.N; i++ {
+			acc += st.CountBelow(theta)
+		}
+		_ = acc
+	})
 }
 
 // BenchmarkKernelPickBelow measures the pick of an accepted step: finding
@@ -94,24 +105,27 @@ func BenchmarkKernelCountBelow(b *testing.B) {
 func BenchmarkKernelPickBelow(b *testing.B) {
 	st, theta := benchBisection(b)
 	k := st.CountBelow(theta) / 2
-	b.ResetTimer()
-	acc := 0
-	for i := 0; i < b.N; i++ {
-		acc += st.PickBelow(theta, k)
-	}
-	_ = acc
+	eachLevel(b, func(b *testing.B) {
+		acc := 0
+		for i := 0; i < b.N; i++ {
+			acc += st.PickBelow(theta, k)
+		}
+		_ = acc
+	})
 }
 
 // BenchmarkKernelFlipCount measures the accepted step's fused pass on a
 // dense bisection row: the flip's delta updates and the next step's
 // candidate count in one loop.
 func BenchmarkKernelFlipCount(b *testing.B) {
-	st, theta := benchBisection(b)
-	n := st.Model().NumVariables()
-	b.ResetTimer()
-	acc := 0
-	for i := 0; i < b.N; i++ {
-		acc += st.FlipCount(i%n, theta)
-	}
-	_ = acc
+	eachLevel(b, func(b *testing.B) {
+		st, theta := benchBisection(b)
+		n := st.Model().NumVariables()
+		b.ResetTimer()
+		acc := 0
+		for i := 0; i < b.N; i++ {
+			acc += st.FlipCount(i%n, theta)
+		}
+		_ = acc
+	})
 }

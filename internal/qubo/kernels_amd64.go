@@ -2,24 +2,29 @@
 
 package qubo
 
-// useAVX2 records, once, whether the CPU and the OS support the AVX2
-// candidate kernels: AVX2, POPCNT and saved YMM register state.
-var useAVX2 = cpuHasAVX2()
+import "incranneal/internal/cpu"
 
-// cpuHasAVX2 reads CPUID and XCR0; implemented in kernels_amd64.s.
-func cpuHasAVX2() bool
+// Each kernel below runs at the highest level cpu.Vector allows: AVX-512,
+// then AVX2, then its Go loop in state.go.
 
 // countBelowAVX2 is countBelowGo.
 //
 //go:noescape
 func countBelowAVX2(delta []float64, theta float64) int
 
-// countBelow is countBelowGo, in AVX2 when the CPU has it.
+// countBelow512 is countBelowGo.
+//
+//go:noescape
+func countBelow512(delta []float64, theta float64) int
+
 func countBelow(delta []float64, theta float64) int {
-	if !useAVX2 {
-		return countBelowGo(delta, theta)
+	switch {
+	case cpu.Vector >= cpu.AVX512:
+		return countBelow512(delta, theta)
+	case cpu.Vector >= cpu.AVX2:
+		return countBelowAVX2(delta, theta)
 	}
-	return countBelowAVX2(delta, theta)
+	return countBelowGo(delta, theta)
 }
 
 // pickBelowAVX2 is pickBelowGo.
@@ -27,12 +32,19 @@ func countBelow(delta []float64, theta float64) int {
 //go:noescape
 func pickBelowAVX2(delta []float64, theta float64, k int) int
 
-// pickBelow is pickBelowGo, in AVX2 when the CPU has it.
+// pickBelow512 is pickBelowGo.
+//
+//go:noescape
+func pickBelow512(delta []float64, theta float64, k int) int
+
 func pickBelow(delta []float64, theta float64, k int) int {
-	if !useAVX2 {
-		return pickBelowGo(delta, theta, k)
+	switch {
+	case cpu.Vector >= cpu.AVX512:
+		return pickBelow512(delta, theta, k)
+	case cpu.Vector >= cpu.AVX2:
+		return pickBelowAVX2(delta, theta, k)
 	}
-	return pickBelowAVX2(delta, theta, k)
+	return pickBelowGo(delta, theta, k)
 }
 
 // flipRowCountAVX2 is flipRowCountGo with delta and xsign exactly as long
@@ -41,13 +53,21 @@ func pickBelow(delta []float64, theta float64, k int) int {
 //go:noescape
 func flipRowCountAVX2(delta, xsign, coef []float64, sign, theta float64) int
 
-// flipRowCount is flipRowCountGo, in AVX2 when the CPU has it. The
-// assembly reads only inside the resliced delta and xsign, so short ones
-// panic here instead.
+// flipRowCount512 is flipRowCountGo with delta and xsign exactly as long
+// as coef.
+//
+//go:noescape
+func flipRowCount512(delta, xsign, coef []float64, sign, theta float64) int
+
+// flipRowCount reslices delta and xsign to coef's length, so short ones
+// panic here: the assembly reads only inside them.
 func flipRowCount(delta, xsign, coef []float64, sign, theta float64) int {
-	if !useAVX2 {
-		return flipRowCountGo(delta, xsign, coef, sign, theta)
-	}
 	n := len(coef)
-	return flipRowCountAVX2(delta[:n], xsign[:n], coef, sign, theta)
+	switch {
+	case cpu.Vector >= cpu.AVX512:
+		return flipRowCount512(delta[:n], xsign[:n], coef, sign, theta)
+	case cpu.Vector >= cpu.AVX2:
+		return flipRowCountAVX2(delta[:n], xsign[:n], coef, sign, theta)
+	}
+	return flipRowCountGo(delta, xsign, coef, sign, theta)
 }

@@ -2,20 +2,22 @@
 
 #include "textflag.h"
 
-// AVX2 candidate kernels of the parallel-trial step. Each must return the
-// same result as its Go loop in state.go. Every instruction is
-// VEX-encoded, the scalar tails included, and VZEROUPPER runs at entry and
-// exit: legacy-SSE encodings among the 256-bit operations cost more than
-// the vector loop saves.
+// AVX2 and AVX-512 candidate kernels of the parallel-trial step. Each must
+// return the same result as its Go loop in state.go. In the AVX2 kernels
+// every instruction is VEX-encoded, the scalar tails included; every
+// kernel runs VZEROUPPER before it returns (the AVX2 ones at entry too):
+// legacy-SSE encodings among the 256-bit operations cost more than the
+// vector loop saves.
 //
-// A group of four deltas is selected with one VCMPPD whose predicate,
+// A group of deltas is selected with one VCMPPD whose predicate,
 // θ > delta (GT_OQ), is false when either side is NaN, as Go's delta < θ
-// is. A selected lane is all ones, −1 as an int64, so the counting kernels
-// subtract the selection from a vector of lane counts and store nothing.
-// The pick kernel turns selections into bit masks with VMOVMSKPD and
-// counts them with POPCNT until it reaches the mask holding its candidate.
-// The scalar tails test one delta with VUCOMISD, whose "above" condition
-// is θ > delta and is false when either side is NaN.
+// is. In AVX2 a selected lane is all ones, −1 as an int64, so the counting
+// kernels subtract the selection from a vector of lane counts and store
+// nothing; the AVX-512 ones compare into a k-mask and subtract all ones
+// from the selected lanes only. The pick kernels turn selections into bit
+// masks and count them with POPCNT until they reach the mask holding their
+// candidate. The scalar tails test one delta with VUCOMISD, whose "above"
+// condition is θ > delta and is false when either side is NaN.
 
 // SUM_LANES sets AX to the sum of the four int64 lanes of Y1, using X2.
 #define SUM_LANES \
@@ -25,40 +27,11 @@
 	VPADDQ       X2, X1, X1; \
 	VMOVQ        X1, AX
 
-// func cpuHasAVX2() bool
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
-	XORL AX, AX
-	XORL CX, CX
-	CPUID
-	CMPL AX, $7
-	JB   done
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-
-	// Leaf 1 ECX: POPCNT (bit 23), OSXSAVE (27) and AVX (28).
-	ANDL $0x18800000, CX
-	CMPL CX, $0x18800000
-	JNE  done
-	XORL CX, CX
-	XGETBV
-
-	// XCR0: the OS saves the XMM (bit 1) and YMM (bit 2) registers.
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  done
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-
-	// Leaf 7 EBX bit 5: AVX2.
-	TESTL $0x20, BX
-	JZ    done
-	MOVB  $1, ret+0(FP)
-
-done:
-	RET
+// SUM_LANES8 sets AX to the sum of the eight int64 lanes of Z1, using Y2.
+#define SUM_LANES8 \
+	VEXTRACTI64X4 $1, Z1, Y2; \
+	VPADDQ        Y2, Y1, Y1; \
+	SUM_LANES
 
 // func countBelowAVX2(delta []float64, theta float64) int
 TEXT ·countBelowAVX2(SB), NOSPLIT, $0-40
@@ -261,6 +234,217 @@ flipGroup:
 
 flipSum:
 	SUM_LANES
+	CMPQ BX, CX
+	JAE  flipDone
+
+flipOne:
+	VMOVSD   (R13)(BX*8), X3
+	VMULSD   X5, X3, X3
+	VMULSD   (R12)(BX*8), X3, X3
+	VADDSD   (SI)(BX*8), X3, X3
+	VMOVSD   X3, (SI)(BX*8)
+	LEAQ     1(AX), R9
+	VUCOMISD X3, X0
+	CMOVQHI  R9, AX
+	INCQ     BX
+	CMPQ     BX, CX
+	JB       flipOne
+
+flipDone:
+	VZEROUPPER
+	MOVQ AX, ret+88(FP)
+	RET
+
+// func countBelow512(delta []float64, theta float64) int
+TEXT ·countBelow512(SB), NOSPLIT, $0-40
+	MOVQ         delta_base+0(FP), SI
+	MOVQ         delta_len+8(FP), CX
+	VBROADCASTSD theta+24(FP), Z0
+	VPTERNLOGQ   $0xff, Z5, Z5, Z5
+	VPXORQ       Z1, Z1, Z1
+	VPXORQ       Z2, Z2, Z2
+	VPXORQ       Z3, Z3, Z3
+	VPXORQ       Z4, Z4, Z4
+
+	// SI walks the deltas; R10, R11 and CX become the ends of the blocks
+	// of thirty-two, of the groups of eight and of the slice.
+	MOVQ CX, R10
+	ANDQ $-32, R10
+	LEAQ (SI)(R10*8), R10
+	MOVQ CX, R11
+	ANDQ $-8, R11
+	LEAQ (SI)(R11*8), R11
+	LEAQ (SI)(CX*8), CX
+	CMPQ SI, R10
+	JAE  countGroups
+
+countBlock:
+	// Each mask selects the lanes of one accumulator that subtract all
+	// ones, −1: four accumulators keep the subtractions independent.
+	VCMPPD $0x1e, (SI), Z0, K1
+	VCMPPD $0x1e, 64(SI), Z0, K2
+	VCMPPD $0x1e, 128(SI), Z0, K3
+	VCMPPD $0x1e, 192(SI), Z0, K4
+	VPSUBQ Z5, Z1, K1, Z1
+	VPSUBQ Z5, Z2, K2, Z2
+	VPSUBQ Z5, Z3, K3, Z3
+	VPSUBQ Z5, Z4, K4, Z4
+	ADDQ   $256, SI
+	CMPQ   SI, R10
+	JB     countBlock
+
+countGroups:
+	CMPQ SI, R11
+	JAE  countSum
+
+countGroup:
+	VCMPPD $0x1e, (SI), Z0, K1
+	VPSUBQ Z5, Z1, K1, Z1
+	ADDQ   $64, SI
+	CMPQ   SI, R11
+	JB     countGroup
+
+countSum:
+	VPADDQ Z2, Z1, Z1
+	VPADDQ Z4, Z3, Z3
+	VPADDQ Z3, Z1, Z1
+	SUM_LANES8
+	CMPQ   SI, CX
+	JAE    countDone
+
+countOne:
+	LEAQ     1(AX), R9
+	VUCOMISD (SI), X0
+	CMOVQHI  R9, AX
+	ADDQ     $8, SI
+	CMPQ     SI, CX
+	JB       countOne
+
+countDone:
+	VZEROUPPER
+	MOVQ AX, ret+32(FP)
+	RET
+
+// func pickBelow512(delta []float64, theta float64, k int) int
+TEXT ·pickBelow512(SB), NOSPLIT, $0-48
+	MOVQ         delta_base+0(FP), SI
+	MOVQ         delta_len+8(FP), CX
+	VBROADCASTSD theta+24(FP), Z0
+	MOVQ         k+32(FP), BX
+
+	// DX indexes the deltas and BX counts the candidates still to skip;
+	// R10 and R11 are the ends of the blocks of thirty-two and of the
+	// groups of eight. The comparisons with BX are unsigned, so a negative
+	// k is never reached, as in the Go loop.
+	XORQ DX, DX
+	MOVQ CX, R10
+	ANDQ $-32, R10
+	MOVQ CX, R11
+	ANDQ $-8, R11
+	CMPQ DX, R10
+	JAE  pickGroups
+
+pickBlock:
+	// Bit b of the block's 32-bit mask selects delta DX+b: KUNPCKBW and
+	// KUNPCKWD join the four byte masks, lowest first.
+	VCMPPD   $0x1e, (SI)(DX*8), Z0, K1
+	VCMPPD   $0x1e, 64(SI)(DX*8), Z0, K2
+	VCMPPD   $0x1e, 128(SI)(DX*8), Z0, K3
+	VCMPPD   $0x1e, 192(SI)(DX*8), Z0, K4
+	KUNPCKBW K1, K2, K1
+	KUNPCKBW K3, K4, K3
+	KUNPCKWD K1, K3, K1
+	KMOVD    K1, AX
+	POPCNTL  AX, R8
+	CMPQ     BX, R8
+	JB       pickFound
+	SUBQ     R8, BX
+	ADDQ     $32, DX
+	CMPQ     DX, R10
+	JB       pickBlock
+
+pickGroups:
+	CMPQ DX, R11
+	JAE  pickTail
+
+pickGroup:
+	VCMPPD  $0x1e, (SI)(DX*8), Z0, K1
+	KMOVB   K1, AX
+	POPCNTL AX, R8
+	CMPQ    BX, R8
+	JB      pickFound
+	SUBQ    R8, BX
+	ADDQ    $8, DX
+	CMPQ    DX, R11
+	JB      pickGroup
+
+pickTail:
+	CMPQ DX, CX
+	JAE  pickNone
+
+pickOne:
+	VUCOMISD (SI)(DX*8), X0
+	JLS      pickNext
+	TESTQ    BX, BX
+	JZ       pickDone
+	DECQ     BX
+
+pickNext:
+	INCQ DX
+	CMPQ DX, CX
+	JB   pickOne
+
+pickNone:
+	MOVQ $-1, DX
+	JMP  pickDone
+
+pickFound:
+	// The mask in AX holds more than BX candidates. PDEP moves bit BX of
+	// 1<<BX onto the mask's set bit of rank BX (from 0), and TZCNT finds
+	// that bit.
+	XORL   R8, R8
+	BTSL   BX, R8
+	PDEPL  AX, R8, R8
+	TZCNTL R8, R8
+	ADDQ   R8, DX
+
+pickDone:
+	VZEROUPPER
+	MOVQ DX, ret+40(FP)
+	RET
+
+// func flipRowCount512(delta, xsign, coef []float64, sign, theta float64) int
+TEXT ·flipRowCount512(SB), NOSPLIT, $0-96
+	MOVQ         delta_base+0(FP), SI
+	MOVQ         xsign_base+24(FP), R12
+	MOVQ         coef_base+48(FP), R13
+	MOVQ         coef_len+56(FP), CX
+	VBROADCASTSD sign+72(FP), Z5
+	VBROADCASTSD theta+80(FP), Z0
+	VPTERNLOGQ   $0xff, Z6, Z6, Z6
+	VPXORQ       Z1, Z1, Z1
+	MOVQ         CX, R10
+	ANDQ         $-8, R10
+	XORQ         BX, BX
+	CMPQ         BX, R10
+	JAE          flipSum
+
+flipGroup:
+	// delta + sign·coef·xsign as the Go loop computes it: two rounded
+	// products and a rounded sum, never a fused multiply-add.
+	VMOVUPD (R13)(BX*8), Z3
+	VMULPD  Z5, Z3, Z3
+	VMULPD  (R12)(BX*8), Z3, Z3
+	VADDPD  (SI)(BX*8), Z3, Z3
+	VMOVUPD Z3, (SI)(BX*8)
+	VCMPPD  $0x1e, Z3, Z0, K1
+	VPSUBQ  Z6, Z1, K1, Z1
+	ADDQ    $8, BX
+	CMPQ    BX, R10
+	JB      flipGroup
+
+flipSum:
+	SUM_LANES8
 	CMPQ BX, CX
 	JAE  flipDone
 

@@ -8,23 +8,60 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"incranneal/internal/cpu"
+)
+
+// candidateKernels is one level's candidate kernels, each called as its
+// Go wrapper would call it.
+type candidateKernels struct {
+	level        string
+	countBelow   func(delta []float64, theta float64) int
+	pickBelow    func(delta []float64, theta float64, k int) int
+	flipRowCount func(delta, xsign, coef []float64, sign, theta float64) int
+}
+
+var (
+	avx2Kernels = candidateKernels{"AVX2", countBelowAVX2, pickBelowAVX2,
+		func(delta, xsign, coef []float64, sign, theta float64) int {
+			n := len(coef)
+			return flipRowCountAVX2(delta[:n], xsign[:n], coef, sign, theta)
+		}}
+	avx512Kernels = candidateKernels{"AVX-512", countBelow512, pickBelow512,
+		func(delta, xsign, coef []float64, sign, theta float64) int {
+			n := len(coef)
+			return flipRowCount512(delta[:n], xsign[:n], coef, sign, theta)
+		}}
 )
 
 // FuzzCandidateKernels checks the AVX2 candidate kernels against the Go
-// loops they stand in for: the same count, the same pick for the fuzzed k
-// and the naive one for every k up to one past the last candidate, and,
-// for the flip, the same count and deltas equal bit for bit. Any NaN delta matches any NaN: Go leaves NaN
-// payloads unspecified, and the Go loop's follow the operand order its
-// compilation picks, which differs under -race. raw holds the kernels'
-// float64 inputs as little-endian bits, three per variable: its delta, its
-// coupling to the flipped variable and its sign. The kernels run through
-// their Go wrappers on slices of arrays with guard entries on both sides:
-// the guards are −Inf, below every threshold but −Inf and NaN, so a kernel
-// that read one would count it, and none may be written.
+// loops they stand in for (see checkCandidateKernels).
 func FuzzCandidateKernels(f *testing.F) {
-	if !useAVX2 {
+	if cpu.Vector < cpu.AVX2 {
 		f.Skip("the CPU lacks AVX2, so the Go loops are the only candidate kernels")
 	}
+	addKernelSeeds(f)
+	f.Fuzz(func(t *testing.T, raw []byte, theta, sign float64, k int) {
+		checkCandidateKernels(t, avx2Kernels, raw, theta, sign, k)
+	})
+}
+
+// FuzzCandidateKernels512 checks the AVX-512 candidate kernels against the
+// Go loops over the same inputs as FuzzCandidateKernels.
+func FuzzCandidateKernels512(f *testing.F) {
+	if cpu.Vector < cpu.AVX512 {
+		f.Skip("the CPU lacks AVX-512, so its kernels never run here")
+	}
+	addKernelSeeds(f)
+	f.Fuzz(func(t *testing.T, raw []byte, theta, sign float64, k int) {
+		checkCandidateKernels(t, avx512Kernels, raw, theta, sign, k)
+	})
+}
+
+// addKernelSeeds seeds a candidate-kernel fuzz target. raw holds the
+// kernels' float64 inputs as little-endian bits, three per variable: its
+// delta, its coupling to the flipped variable and its sign.
+func addKernelSeeds(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
 	// row draws n variables; about every fourth delta is special. A solve
@@ -49,8 +86,8 @@ func FuzzCandidateKernels(f *testing.F) {
 		}
 		return v
 	}
-	// Every length up to 40 splits differently into blocks of sixteen,
-	// groups of four and a scalar tail.
+	// Every length up to 40 splits differently into blocks, groups and a
+	// scalar tail, at either level.
 	for n := 0; n <= 40; n++ {
 		v := row(n, false)
 		theta := special[rng.Intn(len(special))]
@@ -68,56 +105,73 @@ func FuzzCandidateKernels(f *testing.F) {
 	f.Add(encodeFloats(long), math.Inf(-1), 1.0, 0)
 	f.Add(encodeFloats(wide), math.Inf(1), 0.3, -1)
 	f.Add(encodeFloats(wide), 1.0, math.NaN(), 350)
-	f.Fuzz(func(t *testing.T, raw []byte, theta, sign float64, k int) {
-		v := decodeFloats(raw)
-		n := len(v) / 3
-		bufs := [][]float64{guarded(n), guarded(n), guarded(n)}
-		delta, coef, xsign := inner(bufs[0], n), inner(bufs[1], n), inner(bufs[2], n)
-		for j := 0; j < n; j++ {
-			delta[j], coef[j], xsign[j] = v[3*j], v[3*j+1], v[3*j+2]
-		}
+}
 
-		want := countBelowGo(delta, theta)
-		if got := countBelow(delta, theta); got != want {
-			t.Fatalf("countBelow(%v): AVX2 %d, Go %d", theta, got, want)
-		}
-		// The picks of every k are checked against one list of the
-		// candidates, so a long input costs one kernel pass per candidate
-		// and not one Go loop too.
-		var below []int
-		for j, d := range delta {
-			if d < theta {
-				below = append(below, j)
-			}
-		}
-		for j := 0; j <= len(below); j++ {
-			w := -1
-			if j < len(below) {
-				w = below[j]
-			}
-			if got := pickBelow(delta, theta, j); got != w {
-				t.Fatalf("pickBelow(%v, %d): AVX2 %d, want %d", theta, j, got, w)
-			}
-		}
-		if got, w := pickBelow(delta, theta, k), pickBelowGo(delta, theta, k); got != w {
-			t.Fatalf("pickBelow(%v, %d): AVX2 %d, Go %d", theta, k, got, w)
-		}
+// checkCandidateKernels checks one level's kernels against the Go loops:
+// the same count, the same pick for the fuzzed k and the naive one for
+// every k up to one past the last candidate, and, for the flip, the same
+// count and deltas equal bit for bit. Any NaN delta matches any NaN: Go
+// leaves NaN payloads unspecified, and the Go loop's follow the operand
+// order its compilation picks, which differs under -race. The kernels run
+// on slices of arrays with guard entries on both sides: the guards are
+// −Inf, below every threshold but −Inf and NaN, so a kernel that read one
+// would count it, and none may be written.
+func checkCandidateKernels(t *testing.T, kern candidateKernels, raw []byte, theta, sign float64, k int) {
+	v := decodeFloats(raw)
+	n := len(v) / 3
+	bufs := [][]float64{guarded(n), guarded(n), guarded(n)}
+	delta, coef, xsign := inner(bufs[0], n), inner(bufs[1], n), inner(bufs[2], n)
+	for j := 0; j < n; j++ {
+		delta[j], coef[j], xsign[j] = v[3*j], v[3*j+1], v[3*j+2]
+	}
 
-		wantDelta := slices.Clone(delta)
-		want = flipRowCountGo(wantDelta, xsign, coef, sign, theta)
-		if got := flipRowCount(delta, xsign, coef, sign, theta); got != want {
-			t.Fatalf("flipRowCount(%v, %v): AVX2 %d, Go %d", sign, theta, got, want)
+	want := countBelowGo(delta, theta)
+	if got := kern.countBelow(delta, theta); got != want {
+		t.Fatalf("countBelow(%v): %s %d, Go %d", theta, kern.level, got, want)
+	}
+	// The picks of every k are checked against one list of the
+	// candidates, so a long input costs one kernel pass per candidate
+	// and not one Go loop too.
+	var below []int
+	for j, d := range delta {
+		if d < theta {
+			below = append(below, j)
 		}
-		for j := 0; j < n; j++ {
-			g, w := delta[j], wantDelta[j]
-			if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
-				t.Fatalf("flipRowCount: AVX2 delta[%d] = %v (%#x), Go %v (%#x)", j, g, math.Float64bits(g), w, math.Float64bits(w))
-			}
+	}
+	for j := 0; j <= len(below); j++ {
+		w := -1
+		if j < len(below) {
+			w = below[j]
 		}
-		for _, buf := range bufs {
-			checkGuards(t, buf, n)
+		if got := kern.pickBelow(delta, theta, j); got != w {
+			t.Fatalf("pickBelow(%v, %d): %s %d, want %d", theta, j, kern.level, got, w)
 		}
-	})
+	}
+	if got, w := kern.pickBelow(delta, theta, k), pickBelowGo(delta, theta, k); got != w {
+		t.Fatalf("pickBelow(%v, %d): %s %d, Go %d", theta, k, kern.level, got, w)
+	}
+
+	wantDelta := slices.Clone(delta)
+	want = flipRowCountGo(wantDelta, xsign, coef, sign, theta)
+	if got := kern.flipRowCount(delta, xsign, coef, sign, theta); got != want {
+		t.Fatalf("flipRowCount(%v, %v): %s %d, Go %d", sign, theta, kern.level, got, want)
+	}
+	checkDeltas(t, "flipRowCount", kern.level, delta, wantDelta)
+	for _, buf := range bufs {
+		checkGuards(t, buf, n)
+	}
+}
+
+// checkDeltas fails unless a kernel's deltas equal the Go loop's bit for
+// bit, any NaN matching any NaN.
+func checkDeltas(t *testing.T, kernel, level string, got, want []float64) {
+	t.Helper()
+	for j := range want {
+		g, w := got[j], want[j]
+		if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+			t.Fatalf("%s: %s delta[%d] = %v (%#x), Go %v (%#x)", kernel, level, j, g, math.Float64bits(g), w, math.Float64bits(w))
+		}
+	}
 }
 
 // guardEntries is how many guard entries guarded puts on each side.
