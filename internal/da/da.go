@@ -124,14 +124,6 @@ func (s *Solver) newRunParams(m *qubo.Model, steps, workers int) runParams {
 	return runParams{temps: temps, offUnit: offsetUnit(m)}
 }
 
-// expVariate returns −ln(u) for u drawn uniformly from (0,1]. rand.Float64
-// covers the half-open [0,1): drawing it directly would occasionally yield
-// exactly 0 and make the acceptance threshold +Inf, silently accepting
-// every variable for that step, so the draw is mirrored onto (0,1].
-func expVariate(rng *rand.Rand) float64 {
-	return -math.Log(1 - rng.Float64())
-}
-
 // Solve implements solver.Solver for problems within device capacity: the
 // request's independent runs execute through solver.Runs, each one anneal
 // over the schedule shared by all runs.
@@ -161,7 +153,7 @@ func (s *Solver) anneal(ctx context.Context, m *qubo.Model, prm runParams, st *q
 	last := len(prm.temps) - 1
 	var c chain
 	if !s.SingleFlip {
-		c = newChain(st, rng)
+		c.start(st, rng)
 		c.collect(prm.temps[0])
 	}
 	performed := 0
@@ -200,21 +192,24 @@ func (s *Solver) anneal(ctx context.Context, m *qubo.Model, prm runParams, st *q
 	return solver.Sample{Assignment: best.Assignment(), Energy: best.Energy()}, performed
 }
 
-// chain is one Markov chain of the parallel-trial step: its state and RNG
-// stream, the dynamic offset, and the pending step's Exp(1) threshold
-// variate with its threshold θ and the number of deltas below θ.
+// chain is one Markov chain of the parallel-trial step: its state and
+// buffered RNG stream, the dynamic offset, and the pending step's Exp(1)
+// threshold variate with its threshold θ and the number of deltas below θ.
 type chain struct {
 	st     *qubo.State
-	rng    *rand.Rand
 	offset float64
 	exp    float64
 	theta  float64
 	count  int
+	draws
 }
 
-// newChain starts a chain on st, drawing the first step's variate.
-func newChain(st *qubo.State, rng *rand.Rand) chain {
-	return chain{st: st, rng: rng, exp: expVariate(rng)}
+// start begins a zero chain on st and rng's stream, drawing the first
+// step's variate.
+func (c *chain) start(st *qubo.State, rng *rand.Rand) {
+	c.st = st
+	c.draws.start(rng)
+	c.exp = c.expVariate()
 }
 
 // collect counts the pending step's candidates at temperature temp with a
@@ -245,13 +240,13 @@ func (s *Solver) parallelTrialStep(c *chain, next, offUnit float64) bool {
 		if !s.DisableDynamicOffset {
 			c.offset += offUnit
 		}
-		c.exp = expVariate(c.rng)
+		c.exp = c.expVariate()
 		c.collect(next)
 		return false
 	}
-	i := c.st.PickBelow(c.theta, c.rng.Intn(c.count))
+	i := c.st.PickBelow(c.theta, c.intn(c.count))
 	c.offset = 0
-	c.exp = expVariate(c.rng)
+	c.exp = c.expVariate()
 	c.theta = c.offset + next*c.exp
 	c.count = c.st.FlipCount(i, c.theta)
 	return true

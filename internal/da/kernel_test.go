@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"incranneal/internal/cpu"
 	"incranneal/internal/encoding"
 	"incranneal/internal/mqo"
 	"incranneal/internal/qubo"
@@ -22,6 +23,16 @@ type zeroSource struct{}
 func (zeroSource) Int63() int64 { return 0 }
 func (zeroSource) Seed(int64)   {}
 
+// expVariate is the chain's Exp(1) draw as rand.Rand gives it, the
+// reference the buffered draws are tested against: −ln(u) for u drawn
+// uniformly from (0,1]. rand.Float64 covers the half-open [0,1): drawing it
+// directly would occasionally yield exactly 0 and make the acceptance
+// threshold +Inf, silently accepting every variable for that step, so the
+// draw is mirrored onto (0,1].
+func expVariate(rng *rand.Rand) float64 {
+	return -math.Log(1 - rng.Float64())
+}
+
 // TestExpVariateFiniteOnZeroDraw is the regression test for the parallel
 // trial threshold: Float64 can return exactly 0, and −ln(0) = +Inf would
 // make theta infinite and silently accept every variable for that step.
@@ -31,18 +42,21 @@ func TestExpVariateFiniteOnZeroDraw(t *testing.T) {
 	if got := rng.Float64(); got != 0 {
 		t.Fatalf("zeroSource sanity: Float64 = %v, want 0", got)
 	}
-	v := expVariate(rand.New(zeroSource{}))
+	var d draws
+	d.start(rand.New(zeroSource{}))
+	v := d.expVariate()
 	if math.IsInf(v, 0) || math.IsNaN(v) || v < 0 {
 		t.Fatalf("expVariate on zero draw = %v, want finite ≥ 0", v)
 	}
 }
 
 func TestExpVariateDistribution(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	var d draws
+	d.start(rand.New(rand.NewSource(1)))
 	var sum float64
 	const n = 200000
 	for i := 0; i < n; i++ {
-		v := expVariate(rng)
+		v := d.expVariate()
 		if v < 0 || math.IsInf(v, 0) || math.IsNaN(v) {
 			t.Fatalf("expVariate = %v", v)
 		}
@@ -118,7 +132,8 @@ func TestSolvePTDeterministicAcrossParallelism(t *testing.T) {
 
 // BenchmarkKernelDAStep measures one parallel-trial Monte-Carlo step — the
 // candidate pick, the next threshold draw and the one pass over the delta
-// array that flips and collects — at a partition-sized variable count.
+// array that flips and counts — at a partition-sized variable count, once
+// per kernel level this CPU has.
 func BenchmarkKernelDAStep(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	bld := qubo.NewBuilder(512)
@@ -136,10 +151,16 @@ func BenchmarkKernelDAStep(b *testing.B) {
 	hot, cold := temperatureRange(m)
 	temp := math.Sqrt(hot * cold)
 	offUnit := meanAbsCoefficient(m)
-	c := newChain(qubo.NewRandomState(m, rng), rng)
-	c.collect(temp)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.parallelTrialStep(&c, temp, offUnit)
-	}
+	cpu.Each(func(l cpu.Level) {
+		b.Run(l.String(), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(42))
+			var c chain
+			c.start(qubo.NewRandomState(m, rng), rng)
+			c.collect(temp)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.parallelTrialStep(&c, temp, offUnit)
+			}
+		})
+	})
 }

@@ -37,7 +37,8 @@ func TestDisabledSinkStepNoAllocs(t *testing.T) {
 	hot, cold := temperatureRange(m)
 	temp := math.Sqrt(hot * cold)
 	offUnit := meanAbsCoefficient(m)
-	c := newChain(qubo.NewRandomState(m, rng), rng)
+	var c chain
+	c.start(qubo.NewRandomState(m, rng), rng)
 	c.collect(temp)
 	allocs := testing.AllocsPerRun(200, func() {
 		s.parallelTrialStep(&c, temp, offUnit)

@@ -70,7 +70,7 @@ func (s *Solver) SolvePT(ctx context.Context, req solver.Request) (*solver.Resul
 	chains := make([]chain, replicas)
 	for i := range chains {
 		st := solver.InitialState(req, i, replicas, rng)
-		chains[i] = newChain(st, rand.New(rand.NewSource(rng.Int63())))
+		chains[i].start(st, rand.New(rand.NewSource(rng.Int63())))
 	}
 	// Per-slot best trackers: replicas interact only at exchange barriers,
 	// so between exchanges every ladder slot advances independently on the
