@@ -1,6 +1,9 @@
 package qubo
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestBuilderPanicsOnOutOfRange(t *testing.T) {
 	assertPanics := func(name string, fn func()) {
@@ -46,5 +49,40 @@ func TestTermsSortedAndDegree(t *testing.T) {
 	}
 	if m.Degree(0) != 2 || m.Degree(3) != 2 || m.Degree(2) != 1 {
 		t.Errorf("degrees = %d, %d, %d", m.Degree(0), m.Degree(3), m.Degree(2))
+	}
+}
+
+// TestRowsListEachNeighbourOnce pins the row layout the AVX-512 sparse
+// flip relies on: gathering and scattering eight neighbours at once is
+// exact only because a row lists each neighbour once, never the variable
+// itself, and only variables of the model. Both constructors are checked,
+// on dense and sparse models.
+func TestRowsListEachNeighbourOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 30; trial++ {
+		n := 1 + rng.Intn(60)
+		built := randomModel(rng, n, []float64{0.05, 0.3, 1}[trial%3])
+		linear := make([]float64, n)
+		for i := range linear {
+			linear[i] = built.Linear(i)
+		}
+		sorted := NewModelFromSortedTerms(linear, append([]Term(nil), built.Terms()...))
+		for _, m := range []*Model{built, sorted} {
+			seen := make([]int, n)
+			for i := 0; i < n; i++ {
+				for _, j := range m.nbr[m.rowStart[i]:m.rowStart[i+1]] {
+					if j < 0 || int(j) >= n {
+						t.Fatalf("trial %d: row %d lists %d, outside [0,%d)", trial, i, j, n)
+					}
+					if int(j) == i {
+						t.Fatalf("trial %d: row %d lists itself", trial, i)
+					}
+					if seen[j] == i+1 {
+						t.Fatalf("trial %d: row %d lists %d twice", trial, i, j)
+					}
+					seen[j] = i + 1
+				}
+			}
+		}
 	}
 }

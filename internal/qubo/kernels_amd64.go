@@ -71,3 +71,22 @@ func flipRowCount(delta, xsign, coef []float64, sign, theta float64) int {
 	}
 	return flipRowCountGo(delta, xsign, coef, sign, theta)
 }
+
+// flipSparse512 is flipSparseGo with coef exactly as long as nbr. It
+// gathers and scatters by nbr without bounds checks, so every entry of nbr
+// must index delta and xsign, and no two may be equal: each group of eight
+// is read before any of it is written.
+//
+//go:noescape
+func flipSparse512(delta, xsign []float64, nbr []int32, coef []float64, sign float64)
+
+// flipSparse reslices coef to nbr's length, so a short one panics here. A
+// Model's rows satisfy flipSparse512's contract by construction
+// (TestRowsListEachNeighbourOnce); the AVX2 level has no sparse kernel.
+func flipSparse(delta, xsign []float64, nbr []int32, coef []float64, sign float64) {
+	if cpu.Vector >= cpu.AVX512 {
+		flipSparse512(delta, xsign, nbr, coef[:len(nbr)], sign)
+		return
+	}
+	flipSparseGo(delta, xsign, nbr, coef, sign)
+}

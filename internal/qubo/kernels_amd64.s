@@ -465,3 +465,62 @@ flipDone:
 	VZEROUPPER
 	MOVQ AX, ret+88(FP)
 	RET
+
+// func flipSparse512(delta, xsign []float64, nbr []int32, coef []float64, sign float64)
+TEXT ·flipSparse512(SB), NOSPLIT, $0-104
+	MOVQ         delta_base+0(FP), SI
+	MOVQ         xsign_base+24(FP), R12
+	MOVQ         nbr_base+48(FP), DI
+	MOVQ         coef_base+72(FP), R13
+	MOVQ         coef_len+80(FP), CX
+	VBROADCASTSD sign+96(FP), Z5
+	MOVQ         CX, R10
+	ANDQ         $-8, R10
+	XORQ         BX, BX
+	CMPQ         BX, R10
+	JAE          sparseTail
+
+sparseGroup:
+	// Eight neighbours j: gather xsign[j] and delta[j], add sign·c·xsign[j]
+	// as the Go loop does, two rounded products and a rounded sum, and
+	// scatter the sums back. The row lists each neighbour once and never
+	// the flipped variable, so no two lanes alias and each group reads
+	// only deltas no other lane writes. A gather clears its mask as it
+	// completes, so each one gets a fresh all-ones mask.
+	VMOVDQU32   (DI)(BX*4), Y1
+	KXNORB      K1, K1, K1
+	VGATHERDPD  (R12)(Y1*8), K1, Z2
+	KXNORB      K2, K2, K2
+	VGATHERDPD  (SI)(Y1*8), K2, Z3
+	VMULPD      (R13)(BX*8), Z5, Z4
+	VMULPD      Z2, Z4, Z4
+	VADDPD      Z3, Z4, Z4
+	KXNORB      K3, K3, K3
+	VSCATTERDPD Z4, K3, (SI)(Y1*8)
+	ADDQ        $8, BX
+	CMPQ        BX, R10
+	JB          sparseGroup
+
+sparseTail:
+	// The last one to seven neighbours are one group under the mask
+	// (1<<CX)−1, which also keeps the loads inside the row.
+	SUBQ        BX, CX
+	JZ          sparseDone
+	MOVL        $0xff, AX
+	BZHIL       CX, AX, AX
+	KMOVB       AX, K1
+	KMOVB       K1, K2
+	KMOVB       K1, K3
+	VMOVDQU32.Z (DI)(BX*4), K1, Y1
+	VGATHERDPD  (R12)(Y1*8), K2, Z2
+	KMOVB       K1, K2
+	VGATHERDPD  (SI)(Y1*8), K2, Z3
+	VMOVUPD.Z   (R13)(BX*8), K1, Z4
+	VMULPD      Z5, Z4, Z4
+	VMULPD      Z2, Z4, Z4
+	VADDPD      Z3, Z4, Z4
+	VSCATTERDPD Z4, K3, (SI)(Y1*8)
+
+sparseDone:
+	VZEROUPPER
+	RET

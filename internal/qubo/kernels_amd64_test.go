@@ -19,6 +19,8 @@ type candidateKernels struct {
 	countBelow   func(delta []float64, theta float64) int
 	pickBelow    func(delta []float64, theta float64, k int) int
 	flipRowCount func(delta, xsign, coef []float64, sign, theta float64) int
+	// flipSparse is nil at a level without a sparse flip kernel.
+	flipSparse func(delta, xsign []float64, nbr []int32, coef []float64, sign float64)
 }
 
 var (
@@ -26,11 +28,14 @@ var (
 		func(delta, xsign, coef []float64, sign, theta float64) int {
 			n := len(coef)
 			return flipRowCountAVX2(delta[:n], xsign[:n], coef, sign, theta)
-		}}
+		}, nil}
 	avx512Kernels = candidateKernels{"AVX-512", countBelow512, pickBelow512,
 		func(delta, xsign, coef []float64, sign, theta float64) int {
 			n := len(coef)
 			return flipRowCount512(delta[:n], xsign[:n], coef, sign, theta)
+		},
+		func(delta, xsign []float64, nbr []int32, coef []float64, sign float64) {
+			flipSparse512(delta, xsign, nbr, coef[:len(nbr)], sign)
 		}}
 )
 
@@ -109,8 +114,10 @@ func addKernelSeeds(f *testing.F) {
 
 // checkCandidateKernels checks one level's kernels against the Go loops:
 // the same count, the same pick for the fuzzed k and the naive one for
-// every k up to one past the last candidate, and, for the flip, the same
-// count and deltas equal bit for bit. Any NaN delta matches any NaN: Go
+// every k up to one past the last candidate, for the dense flip the same
+// count and deltas equal bit for bit, and for the sparse flip equal
+// deltas. The sparse row holds every variable but one, the flipped
+// variable k mod n, shuffled by k: all distinct, as a Model's rows are. Any NaN delta matches any NaN: Go
 // leaves NaN payloads unspecified, and the Go loop's follow the operand
 // order its compilation picks, which differs under -race. The kernels run
 // on slices of arrays with guard entries on both sides: the guards are
@@ -149,6 +156,28 @@ func checkCandidateKernels(t *testing.T, kern candidateKernels, raw []byte, thet
 	}
 	if got, w := kern.pickBelow(delta, theta, k), pickBelowGo(delta, theta, k); got != w {
 		t.Fatalf("pickBelow(%v, %d): %s %d, Go %d", theta, k, kern.level, got, w)
+	}
+
+	if kern.flipSparse != nil && n > 0 {
+		var nbr []int32
+		flipped := (k%n + n) % n
+		for _, j := range rand.New(rand.NewSource(int64(k))).Perm(n) {
+			if j != flipped {
+				nbr = append(nbr, int32(j))
+			}
+		}
+		row := make([]float64, len(nbr))
+		for t, j := range nbr {
+			row[t] = coef[j]
+		}
+		sparse := guarded(n)
+		got := inner(sparse, n)
+		copy(got, delta)
+		wantDelta := slices.Clone(delta)
+		flipSparseGo(wantDelta, xsign, nbr, row, sign)
+		kern.flipSparse(got, xsign, nbr, row, sign)
+		checkDeltas(t, "flipSparse", kern.level, got, wantDelta)
+		checkGuards(t, sparse, n)
 	}
 
 	wantDelta := slices.Clone(delta)

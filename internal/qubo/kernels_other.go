@@ -15,3 +15,7 @@ func pickBelow(delta []float64, theta float64, k int) int {
 func flipRowCount(delta, xsign, coef []float64, sign, theta float64) int {
 	return flipRowCountGo(delta, xsign, coef, sign, theta)
 }
+
+func flipSparse(delta, xsign []float64, nbr []int32, coef []float64, sign float64) {
+	flipSparseGo(delta, xsign, nbr, coef, sign)
+}

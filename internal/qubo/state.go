@@ -134,13 +134,7 @@ func (s *State) Flip(i int) {
 	s.energy += d
 	s.delta[i] = -d
 	lo, hi := s.m.rowStart[i], s.m.rowStart[i+1]
-	nbr, coef := s.m.nbr[lo:hi], s.m.coef[lo:hi]
-	coef = coef[:len(nbr)]
-	delta, xsign := s.delta, s.xsign
-	for k, j := range nbr {
-		// field_j changes by sign·c_ij; delta_j = xsign_j·field_j.
-		delta[j] += sign * coef[k] * xsign[j]
-	}
+	flipSparse(s.delta, s.xsign, s.m.nbr[lo:hi], s.m.coef[lo:hi], sign)
 }
 
 // FlipCount performs Flip(i) and returns CountBelow(theta) on the flipped
@@ -197,6 +191,18 @@ func pickBelowGo(delta []float64, theta float64, k int) int {
 		}
 	}
 	return -1
+}
+
+// flipSparseGo applies a flip with the given sign to the neighbours nbr of
+// the flipped variable, whose couplings to it are coef. It is the kernel
+// wherever the assembly does not run (see flipSparse) and that kernel's
+// reference.
+func flipSparseGo(delta, xsign []float64, nbr []int32, coef []float64, sign float64) {
+	coef = coef[:len(nbr)]
+	for k, j := range nbr {
+		// field_j changes by sign·c_ij; delta_j = xsign_j·field_j.
+		delta[j] += sign * coef[k] * xsign[j]
+	}
 }
 
 // flipRowCountGo applies a flip with the given sign to the consecutive
