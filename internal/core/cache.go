@@ -53,8 +53,12 @@ func (c *CacheOutcome) Tier() string {
 // finalisation.
 type cacheRun struct {
 	cache *solvecache.Cache
-	hit   *solvecache.Hit // nil on a structure miss
-	out   *CacheOutcome
+	// key is the problem's structure key and shapes[i] partial problem
+	// i's, each hashed once per solve.
+	key    solvecache.Key
+	shapes []solvecache.Key
+	hit    *solvecache.Hit // nil on a structure miss
+	out    *CacheOutcome
 	// querySets is the partitioning to commit (the Refit result on a hit,
 	// the fresh Partition result on a miss).
 	querySets [][]int
@@ -74,8 +78,8 @@ func newCacheRun(p *mqo.Problem, opt Options) *cacheRun {
 	if opt.Cache == nil {
 		return nil
 	}
-	cr := &cacheRun{cache: opt.Cache, out: &CacheOutcome{}}
-	cr.hit = opt.Cache.Lookup(p)
+	cr := &cacheRun{cache: opt.Cache, key: solvecache.StructureKey(p), out: &CacheOutcome{}}
+	cr.hit = opt.Cache.Lookup(cr.key, p)
 	if cr.hit == nil {
 		return cr
 	}
@@ -122,14 +126,26 @@ func (cr *cacheRun) warmFor(sub *mqo.SubProblem) []int8 {
 	return w
 }
 
-// takeSkeleton checks a prepared skeleton for local out of the hit, nil
-// when the solve must prepare fresh. Safe for concurrent use from the
-// preparation fan-out.
-func (cr *cacheRun) takeSkeleton(local *mqo.Problem) *encoding.PreparedMQO {
-	if cr == nil || cr.hit == nil {
+// startEncode sizes the shape keys for a solve of subs partial problems.
+func (cr *cacheRun) startEncode(subs int) {
+	if cr != nil {
+		cr.shapes = make([]solvecache.Key, subs)
+	}
+}
+
+// takeSkeleton hashes partial problem i, whose local problem is local, and
+// checks a prepared skeleton for it out of the hit, nil when the solve
+// must prepare fresh. Safe for concurrent use from the preparation
+// fan-out, which calls it once per partial problem.
+func (cr *cacheRun) takeSkeleton(i int, local *mqo.Problem) *encoding.PreparedMQO {
+	if cr == nil {
 		return nil
 	}
-	pp := cr.hit.TakeSkeleton(local)
+	cr.shapes[i] = solvecache.StructureKey(local)
+	if cr.hit == nil {
+		return nil
+	}
+	pp := cr.hit.TakeSkeleton(cr.shapes[i], local)
 	if pp != nil {
 		atomic.AddInt32(&cr.skelHits, 1)
 	} else {
@@ -146,7 +162,7 @@ func (cr *cacheRun) commit(p *mqo.Problem, out *Outcome, preps []*encoding.Prepa
 	cr.out.SkeletonHits = int(atomic.LoadInt32(&cr.skelHits))
 	cr.out.SkeletonMisses = int(atomic.LoadInt32(&cr.skelMisses))
 	out.Cache = cr.out
-	cr.cache.Commit(p, cr.querySets, out.Solution.Selected, out.Cost, preps)
+	cr.cache.Commit(cr.key, p, cr.querySets, out.Solution.Selected, out.Cost, preps, cr.shapes)
 	if sink.Enabled() {
 		cr.cache.Publish(sink.Metrics())
 	}

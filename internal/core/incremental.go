@@ -89,7 +89,7 @@ func solvePartitioned(ctx context.Context, p *mqo.Problem, opt Options, strategy
 			// A cached partitioning that fails to refit (fingerprint
 			// collision, corrupt entry) never fails the solve: drop it and
 			// partition from scratch.
-			opt.Cache.Invalidate(p)
+			opt.Cache.Invalidate(cr.key)
 			cr.demote()
 			source, part = "fresh", nil
 		}
@@ -160,11 +160,12 @@ func incrementalOverSubProblems(ctx context.Context, p *mqo.Problem, subs []*mqo
 	_, ph := obs.StartPhase(ctx, "encode")
 	preps := make([]*encoding.PreparedMQO, len(subs))
 	prepErrs := make([]error, len(subs))
+	cr.startEncode(len(subs))
 	solver.ForEachRun(len(subs), parallelism(opt), func(i int) {
 		// On a structure hit, rebinding a pooled skeleton replaces the
 		// whole PrepareMQO build with an O(terms) reweight of the cached
 		// term structure.
-		if pp := cr.takeSkeleton(subs[i].Local); pp != nil {
+		if pp := cr.takeSkeleton(i, subs[i].Local); pp != nil {
 			preps[i] = pp
 			return
 		}

@@ -57,7 +57,9 @@ type entry struct {
 
 // Cache is the process-wide cross-solve cache. One handle is shared by
 // every solve that should benefit from recurrence — a facade Session chain,
-// the whole serve fleet — and all methods are safe for concurrent use.
+// the whole serve fleet — and all methods are safe for concurrent use. Its
+// methods take the problem's StructureKey from the caller, which computes
+// it once per solve: a key hashes the whole savings list.
 type Cache struct {
 	mu      sync.Mutex
 	max     int
@@ -97,14 +99,13 @@ type Hit struct {
 	e *entry
 }
 
-// Lookup returns the cached state for p's structure, or nil on a miss. The
-// returned hit's drift is computed against the weights of the last
-// committed solve of that structure.
-func (c *Cache) Lookup(p *mqo.Problem) *Hit {
+// Lookup returns the cached state for p, whose StructureKey is k, or nil
+// on a miss. The returned hit's drift is computed against the weights of
+// the last committed solve of that structure.
+func (c *Cache) Lookup(k Key, p *mqo.Problem) *Hit {
 	if c == nil {
 		return nil
 	}
-	k := StructureKey(p)
 	c.mu.Lock()
 	e := c.entries[k]
 	if e == nil {
@@ -143,17 +144,16 @@ func (c *Cache) Lookup(p *mqo.Problem) *Hit {
 	return h
 }
 
-// TakeSkeleton checks a pooled encoding skeleton matching local's shape out
-// of the hit's entry and rebinds it to local's weights. It returns nil when
-// the pool holds none — or when the pooled skeleton's shape does not
-// actually match (a fingerprint collision loses a skeleton, never
-// correctness). A returned skeleton has exactly one owner until the next
-// Commit checks it back in.
-func (h *Hit) TakeSkeleton(local *mqo.Problem) *encoding.PreparedMQO {
+// TakeSkeleton checks a pooled encoding skeleton matching local's shape,
+// whose StructureKey is k, out of the hit's entry and rebinds it to local's
+// weights. It returns nil when the pool holds none — or when the pooled
+// skeleton's shape does not actually match (a fingerprint collision loses a
+// skeleton, never correctness). A returned skeleton has exactly one owner
+// until the next Commit checks it back in.
+func (h *Hit) TakeSkeleton(k Key, local *mqo.Problem) *encoding.PreparedMQO {
 	if h == nil {
 		return nil
 	}
-	k := StructureKey(local)
 	h.e.mu.Lock()
 	var pp *encoding.PreparedMQO
 	if pool := h.e.skeletons[k]; len(pool) > 0 {
@@ -174,16 +174,17 @@ func (h *Hit) TakeSkeleton(local *mqo.Problem) *encoding.PreparedMQO {
 	return pp
 }
 
-// Commit records a completed solve of p: the capacity-conforming query
-// sets, the final incumbent and its cost, the weight snapshot the next
-// Lookup computes drift against, and the solve's prepared skeletons for
-// reuse. It creates or refreshes the entry for p's structure, evicting the
-// least-recently-used entry when the cache is over bound.
-func (c *Cache) Commit(p *mqo.Problem, querySets [][]int, incumbent []int, cost float64, skeletons []*encoding.PreparedMQO) {
+// Commit records a completed solve of p, whose StructureKey is k: the
+// capacity-conforming query sets, the final incumbent and its cost, the
+// weight snapshot the next Lookup computes drift against, and the solve's
+// prepared skeletons for reuse, skeletons[i] under shapes[i], the
+// StructureKey of its problem. It creates or refreshes the entry for p's
+// structure, evicting the least-recently-used entry when the cache is over
+// bound.
+func (c *Cache) Commit(k Key, p *mqo.Problem, querySets [][]int, incumbent []int, cost float64, skeletons []*encoding.PreparedMQO, shapes []Key) {
 	if c == nil {
 		return
 	}
-	k := StructureKey(p)
 	c.mu.Lock()
 	e := c.entries[k]
 	if e == nil {
@@ -218,12 +219,10 @@ func (c *Cache) Commit(p *mqo.Problem, querySets [][]int, incumbent []int, cost 
 	// back through this slice), so the pool never grows past one solve's
 	// worth per structure.
 	e.skeletons = make(map[Key][]*encoding.PreparedMQO, len(skeletons))
-	for _, pp := range skeletons {
-		if pp == nil {
-			continue
+	for i, pp := range skeletons {
+		if pp != nil {
+			e.skeletons[shapes[i]] = append(e.skeletons[shapes[i]], pp)
 		}
-		sk := StructureKey(pp.Problem)
-		e.skeletons[sk] = append(e.skeletons[sk], pp)
 	}
 }
 
@@ -248,15 +247,14 @@ func (c *Cache) evictLocked(keep Key) {
 	c.stats.Evictions++
 }
 
-// Invalidate drops the entry for p's structure, if any. The solve layer
-// calls it when a cached partitioning fails to refit — the entry is
-// corrupt or describes a different problem (collision) and must not be
-// offered again.
-func (c *Cache) Invalidate(p *mqo.Problem) {
+// Invalidate drops the entry for the structure whose key is k, if any. The
+// solve layer calls it when a cached partitioning fails to refit — the
+// entry is corrupt or describes a different problem (collision) and must
+// not be offered again.
+func (c *Cache) Invalidate(k Key) {
 	if c == nil {
 		return
 	}
-	k := StructureKey(p)
 	c.mu.Lock()
 	if _, ok := c.entries[k]; ok {
 		delete(c.entries, k)

@@ -1,6 +1,7 @@
 package solvecache
 
 import (
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"incranneal/internal/encoding"
 	"incranneal/internal/mqo"
 	"incranneal/internal/obs"
+	"incranneal/internal/workload"
 )
 
 // prob builds a problem or fails the test.
@@ -24,6 +26,39 @@ func twoQuery(t *testing.T, c00, c01, c10, c11, sv float64) *mqo.Problem {
 	return prob(t, [][]float64{{c00, c01}, {c10, c11}}, []mqo.Saving{{P1: 0, P2: 2, Value: sv}})
 }
 
+// commit is Cache.Commit with every key computed from its problem.
+func commit(c *Cache, p *mqo.Problem, querySets [][]int, incumbent []int, cost float64, skeletons []*encoding.PreparedMQO) {
+	shapes := make([]Key, len(skeletons))
+	for i, pp := range skeletons {
+		if pp != nil {
+			shapes[i] = StructureKey(pp.Problem)
+		}
+	}
+	c.Commit(StructureKey(p), p, querySets, incumbent, cost, skeletons, shapes)
+}
+
+// TestStructureKeyPinned pins two digests recorded before keys were hashed
+// through a block buffer: the paper's example, and a generated instance
+// whose 2,445 savings fill the buffer several times over.
+func TestStructureKeyPinned(t *testing.T) {
+	in, err := workload.GenerateSweep(workload.SweepConfig{Queries: 32, PPQ: 6, Communities: 4, DensityLow: 0.05, DensityHigh: 0.8, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		p    *mqo.Problem
+		want string
+	}{
+		{"paper example", mqo.PaperExample(), "1aa324d596527a7c89dcd3357db41e3d54bf7769b6fbcb48e233cdda169acbed"},
+		{"32x6 sweep", in.Problem, "0d769d3df130022d209fdf1cd70cdc039b1f154aaf7c421cbe1de0a206c1755c"},
+	} {
+		k := StructureKey(c.p)
+		if got := hex.EncodeToString(k[:]); got != c.want {
+			t.Errorf("%s: StructureKey = %s, want %s", c.name, got, c.want)
+		}
+	}
+}
 func TestStructureKeyShapeOnly(t *testing.T) {
 	a := twoQuery(t, 3, 5, 2, 4, 1.5)
 	b := twoQuery(t, 30, 50, 20, 40, 9.25) // same shape, different weights
@@ -79,13 +114,13 @@ func TestWeightDrift(t *testing.T) {
 func TestCommitLookupRoundTrip(t *testing.T) {
 	c := New(0)
 	p := twoQuery(t, 3, 5, 2, 4, 1.5)
-	if c.Lookup(p) != nil {
+	if c.Lookup(StructureKey(p), p) != nil {
 		t.Fatal("lookup on an empty cache hit")
 	}
 	sets := [][]int{{0, 1}}
 	inc := []int{0, 3}
-	c.Commit(p, sets, inc, 6.5, nil)
-	h := c.Lookup(p)
+	commit(c, p, sets, inc, 6.5, nil)
+	h := c.Lookup(StructureKey(p), p)
 	if h == nil {
 		t.Fatal("lookup after commit missed")
 	}
@@ -104,13 +139,13 @@ func TestCommitLookupRoundTrip(t *testing.T) {
 	// The hit owns deep copies: mutating them must not poison the entry.
 	h.QuerySets[0][0] = 99
 	h.Incumbent[0] = 99
-	h2 := c.Lookup(p)
+	h2 := c.Lookup(StructureKey(p), p)
 	if h2.QuerySets[0][0] != 0 || h2.Incumbent[0] != 0 {
 		t.Fatal("hit copies alias the cached entry")
 	}
 	// Drift against the committed snapshot for a reweighted recurrence.
 	q := twoQuery(t, 3*1.05, 5*1.05, 2*1.05, 4*1.05, 1.5*1.05)
-	hd := c.Lookup(q)
+	hd := c.Lookup(StructureKey(q), q)
 	if hd == nil {
 		t.Fatal("reweighted recurrence missed")
 	}
@@ -130,12 +165,12 @@ func TestCommitLookupRoundTrip(t *testing.T) {
 func TestLookupCollisionDefense(t *testing.T) {
 	c := New(0)
 	a := twoQuery(t, 3, 5, 2, 4, 1.5)
-	c.Commit(a, [][]int{{0, 1}}, []int{0, 3}, 6.5, nil)
+	commit(c, a, [][]int{{0, 1}}, []int{0, 3}, 6.5, nil)
 	b := prob(t, [][]float64{{1, 2, 3}, {4, 5, 6}, {7}}, nil) // different plan/saving counts
 	c.mu.Lock()
 	c.entries[StructureKey(b)] = c.entries[StructureKey(a)]
 	c.mu.Unlock()
-	if h := c.Lookup(b); h != nil {
+	if h := c.Lookup(StructureKey(b), b); h != nil {
 		t.Fatalf("collision lookup returned a foreign hit: %+v", h)
 	}
 }
@@ -147,20 +182,20 @@ func TestLRUEviction(t *testing.T) {
 		prob(t, [][]float64{{1}, {2}}, nil),
 		prob(t, [][]float64{{1}, {2}, {3}}, nil),
 	}
-	c.Commit(ps[0], [][]int{{0}}, []int{0}, 1, nil)
-	c.Commit(ps[1], [][]int{{0, 1}}, []int{0, 1}, 3, nil)
+	commit(c, ps[0], [][]int{{0}}, []int{0}, 1, nil)
+	commit(c, ps[1], [][]int{{0, 1}}, []int{0, 1}, 3, nil)
 	// Touch ps[0] so ps[1] is the LRU victim when ps[2] lands.
-	if c.Lookup(ps[0]) == nil {
+	if c.Lookup(StructureKey(ps[0]), ps[0]) == nil {
 		t.Fatal("ps[0] missing before eviction")
 	}
-	c.Commit(ps[2], [][]int{{0, 1, 2}}, []int{0, 1, 2}, 6, nil)
+	commit(c, ps[2], [][]int{{0, 1, 2}}, []int{0, 1, 2}, 6, nil)
 	if c.Len() != 2 {
 		t.Fatalf("len = %d, want 2", c.Len())
 	}
-	if c.Lookup(ps[1]) != nil {
+	if c.Lookup(StructureKey(ps[1]), ps[1]) != nil {
 		t.Fatal("LRU entry survived eviction")
 	}
-	if c.Lookup(ps[0]) == nil || c.Lookup(ps[2]) == nil {
+	if c.Lookup(StructureKey(ps[0]), ps[0]) == nil || c.Lookup(StructureKey(ps[2]), ps[2]) == nil {
 		t.Fatal("recently used entries were evicted")
 	}
 	if s := c.Stats(); s.Evictions != 1 {
@@ -171,12 +206,12 @@ func TestLRUEviction(t *testing.T) {
 func TestInvalidate(t *testing.T) {
 	c := New(0)
 	p := twoQuery(t, 3, 5, 2, 4, 1.5)
-	c.Commit(p, [][]int{{0, 1}}, []int{0, 3}, 6.5, nil)
-	c.Invalidate(p)
-	if c.Lookup(p) != nil {
+	commit(c, p, [][]int{{0, 1}}, []int{0, 3}, 6.5, nil)
+	c.Invalidate(StructureKey(p))
+	if c.Lookup(StructureKey(p), p) != nil {
 		t.Fatal("invalidated entry still hits")
 	}
-	c.Invalidate(p) // idempotent on a missing entry
+	c.Invalidate(StructureKey(p)) // idempotent on a missing entry
 	if s := c.Stats(); s.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", s.Evictions)
 	}
@@ -189,14 +224,14 @@ func TestTakeSkeletonPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Commit(p, [][]int{{0, 1}}, []int{0, 3}, 6.5, []*encoding.PreparedMQO{pp})
-	h := c.Lookup(p)
+	commit(c, p, [][]int{{0, 1}}, []int{0, 3}, 6.5, []*encoding.PreparedMQO{pp})
+	h := c.Lookup(StructureKey(p), p)
 	if h == nil {
 		t.Fatal("lookup missed")
 	}
 	// Same shape, new weights: checkout rebinds in place.
 	q := twoQuery(t, 4, 6, 3, 5, 2.5)
-	got := h.TakeSkeleton(q)
+	got := h.TakeSkeleton(StructureKey(q), q)
 	if got == nil {
 		t.Fatal("pooled skeleton not returned")
 	}
@@ -204,13 +239,13 @@ func TestTakeSkeletonPool(t *testing.T) {
 		t.Fatal("returned skeleton not rebound to the local problem")
 	}
 	// Exactly one owner: a second checkout of the same shape misses.
-	if h.TakeSkeleton(q) != nil {
+	if h.TakeSkeleton(StructureKey(q), q) != nil {
 		t.Fatal("skeleton checked out twice")
 	}
 	// Commit checks it back in for the next solve.
-	c.Commit(p, [][]int{{0, 1}}, []int{0, 3}, 6.5, []*encoding.PreparedMQO{got})
-	h2 := c.Lookup(p)
-	if h2.TakeSkeleton(p) == nil {
+	commit(c, p, [][]int{{0, 1}}, []int{0, 3}, 6.5, []*encoding.PreparedMQO{got})
+	h2 := c.Lookup(StructureKey(p), p)
+	if h2.TakeSkeleton(StructureKey(p), p) == nil {
 		t.Fatal("recommitted skeleton not available")
 	}
 	s := c.Stats()
@@ -229,7 +264,7 @@ func TestTakeSkeletonShapeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Commit(p, [][]int{{0, 1}}, []int{0, 3}, 6.5, []*encoding.PreparedMQO{pp})
+	commit(c, p, [][]int{{0, 1}}, []int{0, 3}, 6.5, []*encoding.PreparedMQO{pp})
 	other := prob(t, [][]float64{{1, 2, 3}, {4, 5}}, nil)
 	c.mu.Lock()
 	e := c.entries[StructureKey(p)]
@@ -237,8 +272,8 @@ func TestTakeSkeletonShapeMismatch(t *testing.T) {
 	e.mu.Lock()
 	e.skeletons[StructureKey(other)] = e.skeletons[StructureKey(p)]
 	e.mu.Unlock()
-	h := c.Lookup(p)
-	if got := h.TakeSkeleton(other); got != nil {
+	h := c.Lookup(StructureKey(p), p)
+	if got := h.TakeSkeleton(StructureKey(other), other); got != nil {
 		t.Fatal("shape-mismatched skeleton survived checkout")
 	}
 	if s := c.Stats(); s.SkeletonMisses != 1 {
@@ -249,18 +284,18 @@ func TestTakeSkeletonShapeMismatch(t *testing.T) {
 func TestNilCacheSafe(t *testing.T) {
 	var c *Cache
 	p := prob(t, [][]float64{{1}}, nil)
-	if c.Lookup(p) != nil {
+	if c.Lookup(StructureKey(p), p) != nil {
 		t.Fatal("nil cache lookup hit")
 	}
-	c.Commit(p, nil, nil, 0, nil)
-	c.Invalidate(p)
+	commit(c, p, nil, nil, 0, nil)
+	c.Invalidate(StructureKey(p))
 	c.RecordWarmStart()
 	c.Publish(obs.NewRegistry())
 	if c.Len() != 0 || c.Stats() != (Stats{}) {
 		t.Fatal("nil cache reported state")
 	}
 	var h *Hit
-	if h.TakeSkeleton(p) != nil {
+	if h.TakeSkeleton(StructureKey(p), p) != nil {
 		t.Fatal("nil hit returned a skeleton")
 	}
 }
@@ -268,9 +303,9 @@ func TestNilCacheSafe(t *testing.T) {
 func TestPublishGauges(t *testing.T) {
 	c := New(0)
 	p := twoQuery(t, 3, 5, 2, 4, 1.5)
-	c.Lookup(p) // miss
-	c.Commit(p, [][]int{{0, 1}}, []int{0, 3}, 6.5, nil)
-	c.Lookup(p) // hit
+	c.Lookup(StructureKey(p), p) // miss
+	commit(c, p, [][]int{{0, 1}}, []int{0, 3}, 6.5, nil)
+	c.Lookup(StructureKey(p), p) // hit
 	c.RecordWarmStart()
 	reg := obs.NewRegistry()
 	c.Publish(reg)
@@ -295,7 +330,7 @@ func TestMigrateDelta(t *testing.T) {
 	p := prob(t, [][]float64{{3, 5}, {2, 4}, {6, 1}},
 		[]mqo.Saving{{P1: 0, P2: 2, Value: 1.5}, {P1: 3, P2: 4, Value: 2}})
 	c := New(0)
-	c.Commit(p, [][]int{{0, 1}, {2}}, []int{0, 3, 5}, 9, nil)
+	commit(c, p, [][]int{{0, 1}, {2}}, []int{0, 3, 5}, 9, nil)
 
 	// Remove query 0, add a query tied to old query 2 by saving mass.
 	d := mqo.Delta{
@@ -311,10 +346,10 @@ func TestMigrateDelta(t *testing.T) {
 	}
 	c.MigrateDelta(p, np, dm, 100)
 
-	if c.Lookup(p) != nil {
+	if c.Lookup(StructureKey(p), p) != nil {
 		t.Fatal("old structure still cached after migration")
 	}
-	h := c.Lookup(np)
+	h := c.Lookup(StructureKey(np), np)
 	if h == nil {
 		t.Fatal("migrated structure missed")
 	}
@@ -348,7 +383,7 @@ func TestMigrateDeltaCapacityOverflow(t *testing.T) {
 	p := prob(t, [][]float64{{3, 5}, {2, 4}},
 		[]mqo.Saving{{P1: 0, P2: 2, Value: 1.5}})
 	c := New(0)
-	c.Commit(p, [][]int{{0, 1}}, []int{0, 3}, 9, nil)
+	commit(c, p, [][]int{{0, 1}}, []int{0, 3}, 9, nil)
 	d := mqo.Delta{AddQueries: []mqo.AddedQuery{{
 		PlanCosts: []float64{7, 8, 9},
 		Savings:   []mqo.Saving{{P1: 0, P2: 0, Value: 3}},
@@ -361,7 +396,7 @@ func TestMigrateDeltaCapacityOverflow(t *testing.T) {
 	// there is no fitting alternative — the query still joins its best
 	// affinity set, leaving Refit to re-bisect exactly that set.
 	c.MigrateDelta(p, np, dm, 5)
-	h := c.Lookup(np)
+	h := c.Lookup(StructureKey(np), np)
 	if h == nil {
 		t.Fatal("migrated structure missed")
 	}
@@ -373,14 +408,14 @@ func TestMigrateDeltaCapacityOverflow(t *testing.T) {
 func TestMigrateDeltaNoAffinitySingleton(t *testing.T) {
 	p := prob(t, [][]float64{{3, 5}}, nil)
 	c := New(0)
-	c.Commit(p, [][]int{{0}}, []int{0}, 3, nil)
+	commit(c, p, [][]int{{0}}, []int{0}, 3, nil)
 	d := mqo.Delta{AddQueries: []mqo.AddedQuery{{PlanCosts: []float64{1, 2}}}}
 	np, dm, err := d.Apply(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.MigrateDelta(p, np, dm, 100)
-	h := c.Lookup(np)
+	h := c.Lookup(StructureKey(np), np)
 	if h == nil {
 		t.Fatal("migrated structure missed")
 	}
@@ -425,8 +460,8 @@ func TestConcurrentCommitLookup(t *testing.T) {
 				p := ps[rng.Intn(len(ps))]
 				if rng.Intn(2) == 0 {
 					inc := make([]int, p.NumQueries())
-					c.Commit(p, [][]int{}, inc, 1, nil)
-				} else if h := c.Lookup(p); h != nil {
+					commit(c, p, [][]int{}, inc, 1, nil)
+				} else if h := c.Lookup(StructureKey(p), p); h != nil {
 					if len(h.Incumbent) != p.NumQueries() {
 						panic("foreign incumbent")
 					}

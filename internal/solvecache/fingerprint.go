@@ -28,6 +28,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
 	"math"
 
 	"incranneal/internal/mqo"
@@ -46,27 +47,41 @@ func (k Key) Short() string { return hex.EncodeToString(k[:6]) }
 // workload with drifted weights share a key — but the savings *pairs* are
 // included, so adding, removing or re-wiring any saving changes the key.
 // Problems store savings canonically sorted and de-duplicated, so equal
-// shapes serialise identically.
+// shapes serialise identically. It hashes the whole savings list, so a
+// solve computes each key it needs once (see Cache).
 func StructureKey(p *mqo.Problem) Key {
-	h := sha256.New()
-	var buf [8]byte
-	u := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	h.Write([]byte("incranneal/structure/v1"))
-	u(uint64(p.NumQueries()))
+	w := keyWriter{h: sha256.New()}
+	w.h.Write([]byte("incranneal/structure/v1"))
+	w.word(uint64(p.NumQueries()))
 	for q := 0; q < p.NumQueries(); q++ {
-		u(uint64(len(p.Plans(q))))
+		w.word(uint64(len(p.Plans(q))))
 	}
-	u(uint64(p.NumSavings()))
+	w.word(uint64(p.NumSavings()))
 	for _, s := range p.Savings() {
-		u(uint64(s.P1))
-		u(uint64(s.P2))
+		w.word(uint64(s.P1))
+		w.word(uint64(s.P2))
 	}
+	w.h.Write(w.buf[:w.n])
 	var k Key
-	h.Sum(k[:0])
+	w.h.Sum(k[:0])
 	return k
+}
+
+// keyWriter feeds a hash little-endian 64-bit words through a block
+// buffer: one Write per word costs more than the hashing.
+type keyWriter struct {
+	h   hash.Hash
+	n   int
+	buf [4096]byte
+}
+
+func (w *keyWriter) word(v uint64) {
+	if w.n == len(w.buf) {
+		w.h.Write(w.buf[:])
+		w.n = 0
+	}
+	binary.LittleEndian.PutUint64(w.buf[w.n:], v)
+	w.n += 8
 }
 
 // WeightDrift measures how far p's weights have moved from a cached
