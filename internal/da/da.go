@@ -7,8 +7,9 @@
 //   - parallel-trial Monte Carlo: every Monte-Carlo step evaluates the
 //     energy delta of flipping each of the N variables (the hardware does
 //     this concurrently) and performs one flip drawn uniformly from the
-//     accepted candidates, which substantially boosts the state-update
-//     probability over single-flip SA;
+//     accepted candidates, which boosts the state-update probability over
+//     single-flip SA; the candidates share one acceptance threshold (see
+//     parallelTrialStep);
 //   - dynamic offset escape: if no flip is accepted in a step, an energy
 //     offset is added to every subsequent acceptance test and grows until a
 //     move is accepted, helping escape local minima; any accepted move
@@ -216,7 +217,7 @@ func (c *chain) start(st *qubo.State, rng *rand.Rand) {
 // full pass over the deltas. A chain needs it before its first step and
 // whenever its state or offset was changed outside parallelTrialStep.
 func (c *chain) collect(temp float64) {
-	c.theta = c.offset + temp*c.exp
+	c.theta = c.offset + float64(temp*c.exp)
 	c.count = c.st.CountBelow(c.theta)
 }
 
@@ -225,16 +226,20 @@ func (c *chain) collect(temp float64) {
 // and tempering share this exact hardware step. It reports whether a flip
 // was performed.
 //
-// The acceptance test rand < exp(−(ΔE−offset)/T) is equivalent to
-// ΔE < offset − T·ln(rand). One shared rand per step gives the same
-// per-variable marginal acceptance probability as independent draws, so
-// the accepted candidates are the variables whose delta is below
-// θ = offset + T·Exp(1), and the step flips one of them chosen uniformly:
-// the k-th below θ for k drawn from [0, count). Drawing the next step's
-// variate right after this step's choice keeps the RNG sequence of a
-// step-at-a-time loop (Exp, Intn, Exp, …) while letting the flip count the
-// next step's candidates in the same pass over the deltas. A rejected step
-// raises the offset and counts afresh.
+// Variable i passes the Metropolis test rand < exp(−(ΔE_i−offset)/T)
+// exactly when ΔE_i < offset − T·ln(rand). The step draws one Exp(1)
+// variate for all variables, accepts the variables whose delta is below
+// the shared threshold θ = offset + T·Exp(1), and flips one of them chosen
+// uniformly: the k-th below θ for k drawn from [0, count). The shared θ
+// gives each variable its Metropolis marginal acceptance probability p_i,
+// but it is not Aramon et al.'s step, which tries every variable with its
+// own draw: with every delta above the offset, the shared θ accepts some
+// flip with probability max_i p_i, theirs with 1 − Π_i(1 − p_i)
+// (TestSharedThresholdStepDistribution). Drawing the next step's variate
+// right after this step's choice keeps the RNG sequence of a
+// step-at-a-time loop (Exp, Intn, Exp, …) while letting the flip count
+// the next step's candidates in the same pass over the deltas. A rejected
+// step raises the offset and counts afresh.
 func (s *Solver) parallelTrialStep(c *chain, next, offUnit float64) bool {
 	if c.count == 0 {
 		if !s.DisableDynamicOffset {
@@ -247,7 +252,7 @@ func (s *Solver) parallelTrialStep(c *chain, next, offUnit float64) bool {
 	i := c.st.PickBelow(c.theta, c.intn(c.count))
 	c.offset = 0
 	c.exp = c.expVariate()
-	c.theta = c.offset + next*c.exp
+	c.theta = c.offset + float64(next*c.exp)
 	c.count = c.st.FlipCount(i, c.theta)
 	return true
 }

@@ -201,7 +201,9 @@ func flipSparseGo(delta, xsign []float64, nbr []int32, coef []float64, sign floa
 	coef = coef[:len(nbr)]
 	for k, j := range nbr {
 		// field_j changes by sign·c_ij; delta_j = xsign_j·field_j.
-		delta[j] += sign * coef[k] * xsign[j]
+		// The explicit conversion rounds the product, so no architecture
+		// fuses it into the sum.
+		delta[j] += float64(sign * coef[k] * xsign[j])
 	}
 }
 
@@ -216,7 +218,7 @@ func flipRowCountGo(delta, xsign, coef []float64, sign, theta float64) int {
 	for k, c := range coef {
 		// The same float operations as Flip, so the deltas match it bit
 		// for bit.
-		dk := delta[k] + sign*c*xsign[k]
+		dk := delta[k] + float64(sign*c*xsign[k])
 		delta[k] = dk
 		if dk < theta {
 			count++
