@@ -13,10 +13,12 @@ import "math/rand"
 // O(degree) with one branch-free signed addition per neighbour, reading the
 // flipped variable's adjacency row; FlipCount also counts the next
 // parallel-trial step's candidates, in the same loop when the flipped row
-// is dense. On amd64 with AVX2 the passes and the dense fused loop run as
-// assembly kernels (kernels_amd64.s) that produce the same results as the
-// Go loops. This is the data structure behind both the classical SA
-// baseline and the Digital Annealer simulator's parallel trial step.
+// is dense. On amd64 the passes and the dense fused loop run as AVX-512 or
+// AVX2 assembly kernels (kernels_amd64.s), and on AVX-512 CPUs a sparse
+// flip gathers and scatters eight neighbours at a time; every kernel
+// produces the same results as its Go loop. This is the data structure
+// behind both the classical SA baseline and the Digital Annealer
+// simulator's parallel trial step.
 type State struct {
 	m *Model
 	x []int8
