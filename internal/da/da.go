@@ -108,17 +108,26 @@ type runParams struct {
 	offUnit float64
 }
 
+// checkEvery is how many steps a run, or a worker filling the temperature
+// table, goes between checks of its context.
+const checkEvery = 256
+
 // newRunParams hoists the per-run invariants of a Solve. The temperature
 // table is filled in contiguous chunks on the run pool's workers; every
 // entry is the same expression of its step, so the bits do not depend on
-// the chunking.
-func (s *Solver) newRunParams(m *qubo.Model, steps, workers int) runParams {
+// the chunking. A worker stops filling once ctx is done: anneal then
+// breaks at its step-0 check and reads only temps[0], which is always
+// written.
+func (s *Solver) newRunParams(ctx context.Context, m *qubo.Model, steps, workers int) runParams {
 	tHot, tCold := temperatureRange(m)
 	temps := make([]float64, steps)
 	denom := float64(max(steps-1, 1))
 	chunk := (steps + workers - 1) / workers
 	solver.ForEachRun(workers, workers, func(w int) {
 		for step := w * chunk; step < min((w+1)*chunk, steps); step++ {
+			if step%checkEvery == 0 && step > 0 && solver.Interrupted(ctx) {
+				return
+			}
 			temps[step] = tHot * math.Pow(tCold/tHot, float64(step)/denom)
 		}
 	})
@@ -136,7 +145,7 @@ func (s *Solver) Solve(ctx context.Context, req solver.Request) (*solver.Result,
 	if err := solver.CheckCapacity(s, m); err != nil {
 		return nil, err
 	}
-	prm := s.newRunParams(m, s.steps(req), solver.Workers(req.Parallelism))
+	prm := s.newRunParams(ctx, m, s.steps(req), solver.Workers(req.Parallelism))
 	return solver.Runs(ctx, req, "da", s.runs(req), func(st *qubo.State, rng *rand.Rand, rt *obs.RunTrace) (solver.Sample, int) {
 		return s.anneal(ctx, m, prm, st, rng, rt)
 	}), nil
@@ -159,7 +168,6 @@ func (s *Solver) anneal(ctx context.Context, m *qubo.Model, prm runParams, st *q
 	}
 	performed := 0
 	var flips int64
-	checkEvery := 256
 	for step := 0; step <= last; step++ {
 		if step%checkEvery == 0 {
 			if solver.Interrupted(ctx) {

@@ -56,7 +56,7 @@ func TestDisabledSinkAnnealNoPerStepAllocs(t *testing.T) {
 	s := &Solver{}
 	ctx := context.Background()
 	annealAllocs := func(steps int) float64 {
-		prm := s.newRunParams(m, steps, 1)
+		prm := s.newRunParams(ctx, m, steps, 1)
 		return testing.AllocsPerRun(10, func() {
 			rng := rand.New(rand.NewSource(3))
 			s.anneal(ctx, m, prm, qubo.NewRandomState(m, rng), rng, nil)

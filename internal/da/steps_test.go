@@ -1,6 +1,8 @@
 package da
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"incranneal/internal/qubo"
@@ -67,5 +69,38 @@ func TestMeanAbsCoefficient(t *testing.T) {
 	}
 	if got := meanAbsCoefficient(qubo.NewBuilder(2).Build()); got != 0 {
 		t.Errorf("empty model mean = %v, want 0", got)
+	}
+}
+
+// TestRunParamsStopOnDoneContext pins that the temperature table ignores
+// no deadline: under an already-cancelled context each worker fills at
+// most checkEvery entries, temps[0] among them (anneal reads it before
+// its step-0 check). Under a live context every entry is written, with
+// the same bits at any worker count.
+func TestRunParamsStopOnDoneContext(t *testing.T) {
+	m := modelOf(64)
+	s := &Solver{}
+	const steps = 1_000_000
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 4} {
+		temps := s.newRunParams(done, m, steps, workers).temps
+		filled := 0
+		for _, v := range temps {
+			if v != 0 {
+				filled++
+			}
+		}
+		if temps[0] == 0 || filled > workers*checkEvery {
+			t.Errorf("%d workers under a done context: temps[0] = %v, %d of %d entries filled, want temps[0] and at most %d",
+				workers, temps[0], filled, steps, workers*checkEvery)
+		}
+	}
+	want := s.newRunParams(context.Background(), m, 10_000, 1).temps
+	got := s.newRunParams(context.Background(), m, 10_000, 4).temps
+	for i := range want {
+		if want[i] == 0 || math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("live context: temps[%d] = %v on 4 workers, %v on 1", i, got[i], want[i])
+		}
 	}
 }

@@ -62,12 +62,9 @@ func (s *Solver) Solve(ctx context.Context, req solver.Request) (*solver.Result,
 	if m == nil || m.NumVariables() == 0 {
 		return nil, fmt.Errorf("sa: empty model")
 	}
-	runs, sweeps := s.runs(req), s.sweeps(req)
+	runs := s.runs(req)
 	hot, cold := betaRange(m)
-	betas := make([]float64, sweeps)
-	for sweep := range betas {
-		betas[sweep] = geometricBeta(hot, cold, sweep, sweeps)
-	}
+	betas := schedule(ctx, hot, cold, s.sweeps(req))
 	return solver.Runs(ctx, req, "sa", runs, func(st *qubo.State, rng *rand.Rand, rt *obs.RunTrace) (solver.Sample, int) {
 		return anneal(ctx, st, betas, rng, rt)
 	}), nil
@@ -106,6 +103,20 @@ func anneal(ctx context.Context, st *qubo.State, betas []float64, rng *rand.Rand
 	}
 	rt.Finish(performed, flips, proposals)
 	return solver.Sample{Assignment: best.Assignment(), Energy: best.Energy()}, performed
+}
+
+// schedule fills the inverse-temperature table of a Solve, one entry per
+// sweep. It stops filling once ctx is done, checking every 256 sweeps:
+// anneal then breaks before its first sweep and reads no entry.
+func schedule(ctx context.Context, hot, cold float64, sweeps int) []float64 {
+	betas := make([]float64, sweeps)
+	for sweep := range betas {
+		if sweep%256 == 0 && sweep > 0 && solver.Interrupted(ctx) {
+			break
+		}
+		betas[sweep] = geometricBeta(hot, cold, sweep, sweeps)
+	}
+	return betas
 }
 
 // geometricBeta interpolates the inverse temperature geometrically from hot

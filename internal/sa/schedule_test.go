@@ -1,6 +1,7 @@
 package sa
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -52,5 +53,29 @@ func TestBetaRangeDegenerateModel(t *testing.T) {
 	hot, cold := betaRange(m)
 	if !(hot > 0 && cold > hot) {
 		t.Errorf("degenerate betaRange = (%v, %v)", hot, cold)
+	}
+}
+
+// TestScheduleStopsOnDoneContext pins that the inverse-temperature table
+// ignores no deadline: under an already-cancelled context only its first
+// 256 entries are filled, while a live context fills every entry with
+// geometricBeta's value.
+func TestScheduleStopsOnDoneContext(t *testing.T) {
+	const sweeps = 1_000_000
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	filled := 0
+	for _, b := range schedule(done, 0.1, 10, sweeps) {
+		if b != 0 {
+			filled++
+		}
+	}
+	if filled > 256 {
+		t.Errorf("done context: %d of %d entries filled, want at most 256", filled, sweeps)
+	}
+	for sweep, b := range schedule(context.Background(), 0.1, 10, 1000) {
+		if want := geometricBeta(0.1, 10, sweep, 1000); math.Float64bits(b) != math.Float64bits(want) {
+			t.Fatalf("live context: betas[%d] = %v, want %v", sweep, b, want)
+		}
 	}
 }
