@@ -144,35 +144,15 @@ func GenerateDAGSweep(cfg DAGSweepConfig) (*DAGInstance, error) {
 	for _, pr := range cfg.CommunityPairs {
 		linked[pr] = true
 	}
-	var savings []mqo.Saving
-	ppq := cfg.PPQ
-	pairTotal := ppq * ppq
-	for q1 := 0; q1 < cfg.Queries; q1++ {
-		for q2 := q1 + 1; q2 < cfg.Queries; q2++ {
-			c1, c2 := communityOf[q1], communityOf[q2]
-			var d float64
-			switch {
-			case c1 == c2:
-				d = cfg.IntraDensity
-			case linked[[2]int{c1, c2}]:
-				d = cfg.CrossDensity
-			default:
-				continue
-			}
-			k := binomial(rng, pairTotal, d)
-			if k == 0 {
-				continue
-			}
-			for _, idx := range samplePairs(rng, pairTotal, k) {
-				i, j := idx/ppq, idx%ppq
-				savings = append(savings, mqo.Saving{
-					P1:    q1*ppq + i,
-					P2:    q2*ppq + j,
-					Value: cfg.SavingLow + rng.Float64()*(cfg.SavingHigh-cfg.SavingLow),
-				})
-			}
+	savings := sampleSavings(rng, cfg.Queries, cfg.PPQ, cfg.SavingLow, cfg.SavingHigh, func(q1, q2 int) float64 {
+		switch c1, c2 := communityOf[q1], communityOf[q2]; {
+		case c1 == c2:
+			return cfg.IntraDensity
+		case linked[[2]int{c1, c2}]:
+			return cfg.CrossDensity
 		}
-	}
+		return 0
+	})
 	p, err := mqo.NewProblem(planCosts, savings)
 	if err != nil {
 		return nil, err

@@ -134,7 +134,12 @@ func GenerateSweep(cfg SweepConfig) (*Instance, error) {
 		}
 		planCosts[q] = costs
 	}
-	savings := sampleSavings(cfg, communityOf, density, rng)
+	savings := sampleSavings(rng, cfg.Queries, cfg.PPQ, cfg.SavingLow, cfg.SavingHigh, func(q1, q2 int) float64 {
+		if communityOf[q1] == communityOf[q2] {
+			return density[communityOf[q1]]
+		}
+		return cfg.CrossDensity
+	})
 	p, err := mqo.NewProblem(planCosts, savings)
 	if err != nil {
 		return nil, err
@@ -192,22 +197,18 @@ func assignCommunities(cfg SweepConfig, rng *rand.Rand) ([]int, []int) {
 	return communityOf, sizes
 }
 
-// sampleSavings draws the savings edge set: for each query pair the
-// applicable density selects, per plan pair, whether a saving exists.
-// Pair counts are sampled binomially and the pairs drawn without
-// replacement, so large dense communities generate in O(#savings) rather
-// than O(#possible pairs).
-func sampleSavings(cfg SweepConfig, communityOf []int, density []float64, rng *rand.Rand) []mqo.Saving {
+// sampleSavings draws the savings edge set of queries × ppq plans: for
+// each query pair q1 < q2, density(q1, q2) selects per plan pair whether a
+// saving exists, and each saving's value is uniform in [low, high]. Pair
+// counts are sampled binomially and the pairs drawn without replacement,
+// so large dense communities generate in O(#savings) rather than
+// O(#possible pairs). A density of zero draws nothing from rng.
+func sampleSavings(rng *rand.Rand, queries, ppq int, low, high float64, density func(q1, q2 int) float64) []mqo.Saving {
 	var savings []mqo.Saving
-	ppq := cfg.PPQ
 	pairTotal := ppq * ppq
-	for q1 := 0; q1 < cfg.Queries; q1++ {
-		for q2 := q1 + 1; q2 < cfg.Queries; q2++ {
-			d := cfg.CrossDensity
-			if communityOf[q1] == communityOf[q2] {
-				d = density[communityOf[q1]]
-			}
-			k := binomial(rng, pairTotal, d)
+	for q1 := 0; q1 < queries; q1++ {
+		for q2 := q1 + 1; q2 < queries; q2++ {
+			k := binomial(rng, pairTotal, density(q1, q2))
 			if k == 0 {
 				continue
 			}
@@ -216,7 +217,7 @@ func sampleSavings(cfg SweepConfig, communityOf []int, density []float64, rng *r
 				savings = append(savings, mqo.Saving{
 					P1:    q1*ppq + i,
 					P2:    q2*ppq + j,
-					Value: cfg.SavingLow + rng.Float64()*(cfg.SavingHigh-cfg.SavingLow),
+					Value: low + rng.Float64()*(high-low),
 				})
 			}
 		}
