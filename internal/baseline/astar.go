@@ -26,32 +26,7 @@ func AStar(ctx context.Context, p *mqo.Problem, opt Options) (*Result, error) {
 		budget = 1000000
 	}
 	n := p.NumQueries()
-	// Heuristic tables, as in Exact: cheapest remaining plans and an upper
-	// bound on still-obtainable savings per depth.
-	minPlanCost := make([]float64, n)
-	for q := 0; q < n; q++ {
-		minPlanCost[q] = p.Cost(p.Plans(q)[0])
-		for _, pl := range p.Plans(q) {
-			if c := p.Cost(pl); c < minPlanCost[q] {
-				minPlanCost[q] = c
-			}
-		}
-	}
-	suffixMin := make([]float64, n+1)
-	for q := n - 1; q >= 0; q-- {
-		suffixMin[q] = suffixMin[q+1] + minPlanCost[q]
-	}
-	savingsTail := make([]float64, n+1)
-	for _, s := range p.Savings() {
-		later := p.QueryOf(s.P2)
-		if q1 := p.QueryOf(s.P1); q1 > later {
-			later = q1
-		}
-		savingsTail[later] += s.Value
-	}
-	for q := n - 1; q >= 0; q-- {
-		savingsTail[q] += savingsTail[q+1]
-	}
+	suffixMin, savingsTail := admissibleBound(p)
 	h := func(depth int) float64 { return suffixMin[depth] - savingsTail[depth] }
 
 	open := &nodeHeap{}

@@ -21,35 +21,8 @@ func Exact(ctx context.Context, p *mqo.Problem, opt Options) (*Result, error) {
 	if p.NumQueries() > MaxExactQueries {
 		return nil, fmt.Errorf("baseline: exact solver limited to %d queries, got %d", MaxExactQueries, p.NumQueries())
 	}
-	// minPlanCost[q] = cheapest plan of query q; savingsTail[q] = total
-	// value of savings whose *later* query (max of the two endpoints'
-	// queries) is ≥ q — an upper bound on savings still obtainable once
-	// queries 0..q-1 are fixed.
 	n := p.NumQueries()
-	minPlanCost := make([]float64, n)
-	for q := 0; q < n; q++ {
-		minPlanCost[q] = p.Cost(p.Plans(q)[0])
-		for _, pl := range p.Plans(q) {
-			if c := p.Cost(pl); c < minPlanCost[q] {
-				minPlanCost[q] = c
-			}
-		}
-	}
-	suffixMin := make([]float64, n+1)
-	for q := n - 1; q >= 0; q-- {
-		suffixMin[q] = suffixMin[q+1] + minPlanCost[q]
-	}
-	savingsTail := make([]float64, n+1)
-	for _, s := range p.Savings() {
-		later := p.QueryOf(s.P2)
-		if q1 := p.QueryOf(s.P1); q1 > later {
-			later = q1
-		}
-		savingsTail[later] += s.Value
-	}
-	for q := n - 1; q >= 0; q-- {
-		savingsTail[q] += savingsTail[q+1]
-	}
+	suffixMin, savingsTail := admissibleBound(p)
 
 	best := mqo.GreedySolution(p)
 	bestCost := best.Cost(p)
@@ -99,4 +72,37 @@ func Exact(ctx context.Context, p *mqo.Problem, opt Options) (*Result, error) {
 	}
 	dfs(0, 0)
 	return &Result{Solution: best, Cost: bestCost, Iterations: nodes}, nil
+}
+
+// admissibleBound builds the tables of the admissible lower bound that
+// Exact and AStar share, for queries assigned in index order: suffixMin[q]
+// sums the cheapest plan of every query ≥ q, and savingsTail[q] is the
+// total value of savings whose later query (the max of the two endpoints'
+// queries) is ≥ q — an upper bound on savings still obtainable once
+// queries 0..q-1 are fixed. Both have NumQueries+1 entries, zero at the
+// end.
+func admissibleBound(p *mqo.Problem) (suffixMin, savingsTail []float64) {
+	n := p.NumQueries()
+	suffixMin = make([]float64, n+1)
+	for q := n - 1; q >= 0; q-- {
+		cheapest := p.Cost(p.Plans(q)[0])
+		for _, pl := range p.Plans(q) {
+			if c := p.Cost(pl); c < cheapest {
+				cheapest = c
+			}
+		}
+		suffixMin[q] = suffixMin[q+1] + cheapest
+	}
+	savingsTail = make([]float64, n+1)
+	for _, s := range p.Savings() {
+		later := p.QueryOf(s.P2)
+		if q1 := p.QueryOf(s.P1); q1 > later {
+			later = q1
+		}
+		savingsTail[later] += s.Value
+	}
+	for q := n - 1; q >= 0; q-- {
+		savingsTail[q] += savingsTail[q+1]
+	}
+	return suffixMin, savingsTail
 }
