@@ -4,10 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"incranneal/internal/encoding"
-	"incranneal/internal/sa"
+	"incranneal/internal/partition"
 	"incranneal/internal/solver"
 )
 
@@ -41,10 +40,15 @@ type Options struct {
 	// handle. Zero means 12.
 	Capacity int
 	// Solver minimises the partitioning-graph bisection QUBOs; nil uses
-	// classical simulated annealing.
+	// classical simulated annealing. A solve error fails the whole solve.
 	Solver solver.Solver
-	// Runs and Sweeps budget each bisection solve.
-	Runs, Sweeps int
+	// Runs is the number of annealing runs per bisection solve.
+	Runs int
+	// Sweeps is the whole query's annealing budget, as in
+	// partition.Options: a bisection of n of the query's N relations
+	// anneals ⌈Sweeps·n/N⌉ steps per run (at least 1). Zero uses the
+	// solver default for every bisection.
+	Sweeps int
 	// Seed makes partitioning deterministic.
 	Seed int64
 	// DisableSteering orders each partition independently of the global
@@ -78,9 +82,10 @@ type Result struct {
 //  1. Build the JO partitioning graph: one node per relation, one edge per
 //     predicate, weighted by the predicate's importance −log₁₀(sel) — the
 //     information lost when the partitioning crosses it.
-//  2. Recursively bisect the graph with the same annealer-backed weighted
-//     graph-partitioning QUBO as the MQO pipeline (Sec. 4.1.2) until each
-//     group fits the exact sub-solver.
+//  2. Recursively bisect the graph with the MQO pipeline's partitioning
+//     phase (partition.Split: the annealer-backed bisection QUBO of
+//     Sec. 4.1.2 refined by Algorithm 1) until each group fits the exact
+//     sub-solver.
 //  3. Derive the total order incrementally: partitions are ordered one
 //     after another, each continuing from the global prefix so that
 //     cross-partition predicates to already-joined relations steer the
@@ -90,8 +95,6 @@ func Solve(ctx context.Context, g *QueryGraph, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Largest groups first, mirroring the MQO pipeline's anchoring.
-	sort.SliceStable(groups, func(i, j int) bool { return len(groups[i]) > len(groups[j]) })
 	ps := newPrefixState(g)
 	total := make(Order, 0, g.NumRelations())
 	for _, group := range groups {
@@ -114,165 +117,45 @@ func Solve(ctx context.Context, g *QueryGraph, opt Options) (*Result, error) {
 	return &Result{Order: total, Cost: total.Cost(g), Partitions: len(groups), CutSelectivityWeight: cut}, nil
 }
 
-// partitionRelations recursively bisects the relation set to the capacity,
-// reusing the MQO pipeline's weighted bisection encoding.
+// partitionRelations splits the relations into groups of at most the
+// capacity, largest first, through the MQO pipeline's partitioning phase:
+// the relation graph has unit node weights and one edge per related pair,
+// weighted by the predicates' importance −log₁₀(sel). It also returns the
+// importance of the edges crossing groups.
 func partitionRelations(ctx context.Context, g *QueryGraph, opt Options) ([][]int, float64, error) {
-	capacity := opt.capacity()
-	dev := opt.Solver
-	if dev == nil {
-		dev = &sa.Solver{}
+	n := g.NumRelations()
+	weights := make([]float64, n)
+	var edges []encoding.WeightedEdge
+	for i := range weights {
+		weights[i] = 1
+		for j := i + 1; j < n; j++ {
+			if s := g.Selectivity(i, j); s < 1 {
+				edges = append(edges, encoding.WeightedEdge{U: i, V: j, Weight: -math.Log10(s)})
+			}
+		}
 	}
-	importance := func(i, j int) float64 {
-		s := g.Selectivity(i, j)
-		if s >= 1 {
-			return 0
-		}
-		return -math.Log10(s)
-	}
-	var groups [][]int
-	var cut float64
-	seed := opt.Seed
-	var recurse func(rels []int) error
-	recurse = func(rels []int) error {
-		if len(rels) <= capacity {
-			groups = append(groups, rels)
-			return nil
-		}
-		weights := make([]float64, len(rels))
-		for i := range weights {
-			weights[i] = 1
-		}
-		var edges []encoding.WeightedEdge
-		for i := 0; i < len(rels); i++ {
-			for j := i + 1; j < len(rels); j++ {
-				if w := importance(rels[i], rels[j]); w > 0 {
-					edges = append(edges, encoding.WeightedEdge{U: i, V: j, Weight: w})
-				}
-			}
-		}
-		enc, err := encoding.EncodePartition(weights, edges)
-		if err != nil {
-			return err
-		}
-		seed++
-		res, err := dev.Solve(ctx, solver.Request{Model: enc.Model, Runs: opt.Runs, Sweeps: opt.Sweeps, Seed: seed})
-		if err != nil {
-			return err
-		}
-		var l1, l2 []int
-		if best, ok := res.Best(); ok {
-			l1, l2, err = enc.Decode(best.Assignment)
-			if err != nil {
-				return err
-			}
-		}
-		if len(l1) == 0 || len(l2) == 0 {
-			half := len(rels) / 2
-			l1, l2 = l1[:0], l2[:0]
-			for i := range rels {
-				if i < half {
-					l1 = append(l1, i)
-				} else {
-					l2 = append(l2, i)
-				}
-			}
-		}
-		// Post-processing (the JO analogue of Algorithm 1): annealers
-		// freeze into one of many balanced cuts, so shift relations to the
-		// side their predicates conform to, in several parses and both
-		// orientations, keeping each side at a quarter of the subset.
-		minSize := len(rels) / 4
-		if minSize < 1 {
-			minSize = 1
-		}
-		l1, l2 = refineBest(importance, rels, l1, l2, 4, minSize)
-		in1 := make([]bool, len(rels))
-		for _, li := range l1 {
-			in1[li] = true
-		}
-		var crossing float64
-		for _, e := range edges {
-			if in1[e.U] != in1[e.V] {
-				crossing += e.Weight
-			}
-		}
-		cut += crossing
-		toGlobal := func(local []int) []int {
-			out := make([]int, len(local))
-			for i, li := range local {
-				out[i] = rels[li]
-			}
-			sort.Ints(out)
-			return out
-		}
-		if err := recurse(toGlobal(l1)); err != nil {
-			return err
-		}
-		return recurse(toGlobal(l2))
-	}
-	if err := recurse(allRelations(g)); err != nil {
+	groups, err := partition.Split(ctx, partition.NewGraph(weights, edges), partition.Options{
+		Capacity: opt.capacity(),
+		Solver:   opt.Solver,
+		Runs:     opt.Runs,
+		Sweeps:   opt.Sweeps,
+		Seed:     opt.Seed,
+		FailFast: true,
+	})
+	if err != nil {
 		return nil, 0, err
 	}
+	groupOf := make([]int, n)
+	for gi, group := range groups {
+		for _, r := range group {
+			groupOf[r] = gi
+		}
+	}
+	var cut float64
+	for _, e := range edges {
+		if groupOf[e.U] != groupOf[e.V] {
+			cut += e.Weight
+		}
+	}
 	return groups, cut, nil
-}
-
-// refineBest runs conformance refinement in both orientations and keeps
-// the split with the lower cross-importance, mirroring the MQO pipeline's
-// PostProcessBest.
-func refineBest(importance func(i, j int) float64, rels []int, l1, l2 []int, parses, minSize int) ([]int, []int) {
-	cutOf := func(a, b []int) float64 {
-		var c float64
-		for _, i := range a {
-			for _, j := range b {
-				c += importance(rels[i], rels[j])
-			}
-		}
-		return c
-	}
-	a1, a2 := refine(importance, rels, l1, l2, parses, minSize)
-	b2, b1 := refine(importance, rels, l2, l1, parses, minSize)
-	if cutOf(a1, a2) <= cutOf(b1, b2) {
-		return a1, a2
-	}
-	return b1, b2
-}
-
-// refine shifts relations from part1 to part2 whenever their accumulated
-// predicate importance to part2 exceeds that to their own side, repeating
-// for the given number of parses and never shrinking part1 below minSize.
-func refine(importance func(i, j int) float64, rels []int, part1, part2 []int, parses, minSize int) ([]int, []int) {
-	p1 := append([]int(nil), part1...)
-	p2 := append([]int(nil), part2...)
-	conf := func(li int, side []int) float64 {
-		var c float64
-		for _, lj := range side {
-			if lj != li {
-				c += importance(rels[li], rels[lj])
-			}
-		}
-		return c
-	}
-	for parse := 0; parse < parses; parse++ {
-		moved := false
-		snapshot := append([]int(nil), p1...)
-		for _, li := range snapshot {
-			if len(p1) <= minSize {
-				break
-			}
-			if conf(li, p1) < conf(li, p2) {
-				for k, v := range p1 {
-					if v == li {
-						p1 = append(p1[:k], p1[k+1:]...)
-						break
-					}
-				}
-				p2 = append(p2, li)
-				moved = true
-			}
-		}
-		if !moved {
-			break
-		}
-	}
-	return p1, p2
 }

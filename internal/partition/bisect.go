@@ -15,21 +15,23 @@ import (
 
 // Options configures the partitioning phase.
 type Options struct {
-	// Capacity is the target device's variable capacity: no partial
-	// problem may need more QUBO variables (= execution plans) than this.
-	// Required.
+	// Capacity bounds the node weight of every set the phase returns: for
+	// an MQO problem, the target device's variable capacity, since a
+	// partial problem needs one QUBO variable per execution plan. A single
+	// node heavier than Capacity forms a set of its own. Required.
 	Capacity int
 	// Solver is the quantum(-inspired) device used to minimise the
 	// bisection QUBOs — the paper's second use of the annealer. When nil,
-	// or when a partitioning graph itself exceeds the device capacity,
+	// or when a graph to bisect has more nodes than the device capacity,
 	// classical simulated annealing is used for that graph.
 	Solver solver.Solver
 	// Runs is the number of annealing runs per bisection solve; zero uses
 	// the solver default.
 	Runs int
-	// Sweeps is the whole problem's annealing budget, the one an
-	// unpartitioned solve of p would get. A bisection of an n-node graph
-	// anneals ⌈Sweeps·n/NumPlans(p)⌉ steps per run (at least 1): an
+	// Sweeps is the whole graph's annealing budget: for an MQO problem p,
+	// the one an unpartitioned solve of p would get. A bisection of n
+	// nodes anneals ⌈Sweeps·n/W⌉ steps per run (at least 1), where W is
+	// the graph's total node weight (NumPlans(p) for an MQO problem): an
 	// unpartitioned solve's steps per variable. Zero uses the solver
 	// default for every bisection.
 	Sweeps int
@@ -60,7 +62,7 @@ func (o *Options) parses() int {
 }
 
 // minSize bounds the post-processing shrinkage: part1 never drops below a
-// quarter of the subset's n queries, and never below one.
+// quarter of the subset's n nodes, and never below one.
 func (o *Options) minSize(n int) int { return max(1, n/4) }
 
 // Result is the outcome of partitioning an MQO problem.
@@ -88,17 +90,22 @@ type Result struct {
 // capacity, using annealer-backed weighted graph bisection (Sec. 4.1.2)
 // refined by Algorithm 1, applied recursively (Sec. 4.1.2: "we may
 // recursively repeat this process until none of them exceed the capacity
-// limit").
+// limit"). It is Refit of the single set of all queries.
 func Partition(ctx context.Context, p *mqo.Problem, opt Options) (*Result, error) {
-	if opt.Capacity <= 0 {
-		return nil, fmt.Errorf("partition: capacity must be positive, got %d", opt.Capacity)
+	return Refit(ctx, p, [][]int{allNodes(p.NumQueries())}, opt)
+}
+
+// Split partitions a bare node-weighted graph the way Partition partitions
+// an MQO problem's graph: it recursively bisects g until every node set's
+// weight fits opt.Capacity or the set holds a single node, and returns the
+// sets heaviest first. Split(ctx, BuildGraph(p), opt) returns
+// Partition(ctx, p, opt).QuerySets.
+func Split(ctx context.Context, g *Graph, opt Options) ([][]int, error) {
+	res, err := divide(ctx, g, [][]int{allNodes(g.NumNodes())}, opt)
+	if err != nil {
+		return nil, err
 	}
-	g := BuildGraph(p)
-	all := make([]int, p.NumQueries())
-	for i := range all {
-		all[i] = i
-	}
-	return refit(ctx, g, p, [][]int{all}, opt)
+	return res.QuerySets, nil
 }
 
 // Refit re-validates an existing partitioning of p — typically the
@@ -115,9 +122,6 @@ func Partition(ctx context.Context, p *mqo.Problem, opt Options) (*Result, error
 // stable descending-weight re-sort and parallel extraction are the same
 // tail Partition runs.
 func Refit(ctx context.Context, p *mqo.Problem, querySets [][]int, opt Options) (*Result, error) {
-	if opt.Capacity <= 0 {
-		return nil, fmt.Errorf("partition: capacity must be positive, got %d", opt.Capacity)
-	}
 	seen := make([]bool, p.NumQueries())
 	count := 0
 	initial := make([][]int, len(querySets))
@@ -137,49 +141,10 @@ func Refit(ctx context.Context, p *mqo.Problem, querySets [][]int, opt Options) 
 	if count != p.NumQueries() {
 		return nil, fmt.Errorf("partition: refit covers %d of %d queries", count, p.NumQueries())
 	}
-	return refit(ctx, BuildGraph(p), p, initial, opt)
-}
-
-// refit is the shared partitioning core: recursively bisect every initial
-// query set that exceeds the capacity, then sort, extract and account the
-// conforming sets. Partition passes the all-queries set; Refit passes a
-// previous partitioning.
-func refit(ctx context.Context, g *Graph, p *mqo.Problem, initial [][]int, opt Options) (*Result, error) {
-	res := &Result{}
-	seed := opt.Seed
-	var recurse func(queries []int) error
-	recurse = func(queries []int) error {
-		if g.PlanWeight(queries) <= float64(opt.Capacity) || len(queries) == 1 {
-			res.QuerySets = append(res.QuerySets, queries)
-			return nil
-		}
-		seed++
-		bctx, ph := obs.StartPhase(ctx, "bisect")
-		sp, err := bisect(bctx, g, queries, opt, bisectionSweeps(opt.Sweeps, len(queries), p.NumPlans()), seed)
-		if err != nil {
-			ph.Fail("bisect")
-			return err
-		}
-		ph.End(obs.Event{N: len(queries), Sweeps: sp.sweeps, Value: sp.cut, Extra: sp.imbalance})
-		res.Bisections++
-		if sp.degraded {
-			res.DegradedBisections++
-		}
-		if err := recurse(sp.part1); err != nil {
-			return err
-		}
-		return recurse(sp.part2)
+	res, err := divide(ctx, BuildGraph(p), initial, opt)
+	if err != nil {
+		return nil, err
 	}
-	for _, qs := range initial {
-		if err := recurse(qs); err != nil {
-			return nil, err
-		}
-	}
-	// Largest partial problems first: the incumbent solution they seed
-	// steers all remaining solves.
-	sort.SliceStable(res.QuerySets, func(i, j int) bool {
-		return g.PlanWeight(res.QuerySets[i]) > g.PlanWeight(res.QuerySets[j])
-	})
 	// Extracting partial problems is independent per query set; fan the
 	// extractions out over the run-level worker pool. Results are addressed
 	// by index, so the outcome is identical at any parallelism.
@@ -208,16 +173,77 @@ func refit(ctx context.Context, g *Graph, p *mqo.Problem, initial [][]int, opt O
 	return res, nil
 }
 
+// divide is the one partitioning recursion behind Partition, Refit and
+// Split: it recursively bisects every initial node set whose weight
+// exceeds the capacity, and returns the conforming sets in QuerySets,
+// heaviest first, with the bisection counts. The i-th bisection in
+// recursion order anneals with seed opt.Seed+i.
+func divide(ctx context.Context, g *Graph, initial [][]int, opt Options) (*Result, error) {
+	if opt.Capacity <= 0 {
+		return nil, fmt.Errorf("partition: capacity must be positive, got %d", opt.Capacity)
+	}
+	var weight float64
+	for _, w := range g.NodeWeights {
+		weight += w
+	}
+	res := &Result{}
+	seed := opt.Seed
+	var recurse func(nodes []int) error
+	recurse = func(nodes []int) error {
+		if g.PlanWeight(nodes) <= float64(opt.Capacity) || len(nodes) == 1 {
+			res.QuerySets = append(res.QuerySets, nodes)
+			return nil
+		}
+		seed++
+		bctx, ph := obs.StartPhase(ctx, "bisect")
+		sp, err := bisect(bctx, g, nodes, opt, bisectionSweeps(opt.Sweeps, len(nodes), int(math.Ceil(weight))), seed)
+		if err != nil {
+			ph.Fail("bisect")
+			return err
+		}
+		ph.End(obs.Event{N: len(nodes), Sweeps: sp.sweeps, Value: sp.cut, Extra: sp.imbalance})
+		res.Bisections++
+		if sp.degraded {
+			res.DegradedBisections++
+		}
+		if err := recurse(sp.part1); err != nil {
+			return err
+		}
+		return recurse(sp.part2)
+	}
+	for _, nodes := range initial {
+		if err := recurse(nodes); err != nil {
+			return nil, err
+		}
+	}
+	// Heaviest sets first: for MQO, the incumbent solution the largest
+	// partial problems seed steers all remaining solves.
+	sort.SliceStable(res.QuerySets, func(i, j int) bool {
+		return g.PlanWeight(res.QuerySets[i]) > g.PlanWeight(res.QuerySets[j])
+	})
+	return res, nil
+}
+
+// allNodes returns the node indices 0..n-1.
+func allNodes(n int) []int {
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
 // bisectionSweeps sizes the anneal of an n-node bisection to the whole
-// problem's budget per plan variable: ⌈total·n/numPlans⌉ steps per run, at
-// least 1, or 0 (the device default) when total is not positive. Partial
-// problems get about the same steps per variable on average, so every
-// anneal of a solve is budgeted alike.
-func bisectionSweeps(total, n, numPlans int) int {
+// graph's budget per unit of node weight: ⌈total·n/weight⌉ steps per run,
+// at least 1, or 0 (the device default) when total is not positive. For an
+// MQO graph the weight is the plan count, so partial problems get about
+// the same steps per variable on average and every anneal of a solve is
+// budgeted alike.
+func bisectionSweeps(total, n, weight int) int {
 	if total <= 0 {
 		return 0
 	}
-	s := (int64(total)*int64(n) + int64(numPlans) - 1) / int64(numPlans)
+	s := (int64(total)*int64(n) + int64(weight) - 1) / int64(weight)
 	if s < 1 {
 		s = 1
 	}
@@ -226,7 +252,7 @@ func bisectionSweeps(total, n, numPlans int) int {
 
 // split is the outcome of one bisection.
 type split struct {
-	// part1 and part2 are the two query sets, ascending.
+	// part1 and part2 are the two node sets, ascending.
 	part1, part2 []int
 	// sweeps is the number of steps the device performed over all runs.
 	sweeps int
@@ -238,7 +264,7 @@ type split struct {
 	degraded bool
 }
 
-// bisect splits one query subset into two non-empty parts using the
+// bisect splits one node subset into two non-empty parts using the
 // annealer on the induced partitioning graph, then post-processes with
 // Algorithm 1. Every sample the device returns is post-processed (both
 // orientations) and the split with the lowest cut weight is kept, the

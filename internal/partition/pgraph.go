@@ -3,7 +3,9 @@
 // partitioning graph, bisecting that graph on a quantum(-inspired) device
 // via the QUBO encoding of Sec. 4.1.2, refining the split with the
 // post-processing pass of Algorithm 1, and recursing until every partial
-// problem fits the device's variable capacity.
+// problem fits the device's variable capacity. The same recursion splits
+// any node-weighted graph (Split), such as the relation graph of join
+// ordering (Sec. 7).
 package partition
 
 import (
@@ -13,18 +15,21 @@ import (
 	"incranneal/internal/mqo"
 )
 
-// Graph is the partitioning graph of Sec. 4.1.1: one weighted node per
-// query (weight = number of alternative plans) and one weighted edge per
-// query pair sharing at least one cost saving (weight = accumulated saving
-// value between their plans).
+// Graph is a node- and edge-weighted partitioning graph. For an MQO
+// problem it is the graph of Sec. 4.1.1: one node per query (weight =
+// number of alternative plans) and one edge per query pair sharing at
+// least one cost saving (weight = accumulated saving value between their
+// plans). A node's weight is what it adds to a set's size against
+// Options.Capacity; an edge's weight is what a partitioning that cuts it
+// loses.
 type Graph struct {
-	// NodeWeights[q] = |P_q|.
+	// NodeWeights[v] is node v's weight; |P_q| for query q.
 	NodeWeights []float64
-	// Edges lists query pairs with accumulated savings, U < V, sorted.
+	// Edges lists the weighted node pairs, U < V, sorted by (U, V).
 	Edges []encoding.WeightedEdge
-	// Compressed adjacency rows: query q's neighbours are
-	// nbr[rowStart[q]:rowStart[q+1]] in ascending order, with the
-	// accumulated saving weights alongside in wt.
+	// Compressed adjacency rows: node q's neighbours are
+	// nbr[rowStart[q]:rowStart[q+1]] in ascending order, with the edge
+	// weights alongside in wt.
 	rowStart []int
 	nbr      []int32
 	wt       []float64
@@ -84,14 +89,15 @@ func BuildGraph(p *mqo.Problem) *Graph {
 			acc[v], seen[v] = 0, false
 		}
 	}
-	return newGraph(nodeWeights, edges)
+	return NewGraph(nodeWeights, edges)
 }
 
-// newGraph builds the adjacency rows of a graph from its edge list, which
-// must be sorted by (U, V) with U < V. Row q receives its lower neighbours
-// from the edges before U = q and its higher ones from the edges at U = q,
-// so every row comes out ascending.
-func newGraph(nodeWeights []float64, edges []encoding.WeightedEdge) *Graph {
+// NewGraph builds a graph from its node weights and its edge list, which
+// must be sorted by (U, V) with U < V and name each node pair at most
+// once. Row q receives its lower neighbours from the edges before U = q
+// and its higher ones from the edges at U = q, so every row comes out
+// ascending.
+func NewGraph(nodeWeights []float64, edges []encoding.WeightedEdge) *Graph {
 	n := len(nodeWeights)
 	g := &Graph{
 		NodeWeights: nodeWeights,
@@ -117,17 +123,18 @@ func newGraph(nodeWeights []float64, edges []encoding.WeightedEdge) *Graph {
 	return g
 }
 
-// NumNodes returns the number of query nodes.
+// NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int { return len(g.NodeWeights) }
 
-// row returns query q's ascending neighbours and their edge weights.
+// row returns node q's ascending neighbours and their edge weights.
 func (g *Graph) row(q int) ([]int32, []float64) {
 	lo, hi := g.rowStart[q], g.rowStart[q+1]
 	return g.nbr[lo:hi], g.wt[lo:hi]
 }
 
-// EdgeWeight returns the accumulated saving weight between two queries, or
-// zero when their plans share no savings.
+// EdgeWeight returns the weight of the edge between two nodes, or zero
+// when there is none: for queries, the accumulated saving weight between
+// their plans.
 func (g *Graph) EdgeWeight(q1, q2 int) float64 {
 	nbr, wt := g.row(q1)
 	i := sort.Search(len(nbr), func(i int) bool { return int(nbr[i]) >= q2 })
@@ -150,8 +157,9 @@ func (g *Graph) AccumulatedSavings(query int, set []int) float64 {
 	return t
 }
 
-// PlanWeight returns the accumulated node weight (total plan count) of a
-// query set — the variable count its partial problem's QUBO will need.
+// PlanWeight returns the accumulated node weight of a node set: for a
+// query set, its total plan count, the variable count its partial
+// problem's QUBO will need.
 func (g *Graph) PlanWeight(set []int) float64 {
 	var t float64
 	for _, q := range set {
@@ -160,8 +168,8 @@ func (g *Graph) PlanWeight(set []int) float64 {
 	return t
 }
 
-// CutWeight returns the accumulated edge weight between the two query sets:
-// the savings magnitude a partitioning into these sets discards. It sums
+// CutWeight returns the accumulated edge weight between the two node sets:
+// for query sets, the savings magnitude a partitioning into them discards. It sums
 // over the sorted Edges slice, so the float accumulation order — and
 // therefore the result down to the last ulp — is identical on every call.
 // PostProcessBest compares the cut weights of two orientations that can be
@@ -184,8 +192,8 @@ func (g *Graph) CutWeight(part1, part2 []int) float64 {
 	return cut
 }
 
-// Subgraph returns the induced partitioning graph over the given queries,
-// re-numbered 0..len(queries)-1 in the given order.
+// Subgraph returns the induced graph over the given nodes, re-numbered
+// 0..len(queries)-1 in the given order.
 func (g *Graph) Subgraph(queries []int) *Graph {
 	localOf := make([]int32, g.NumNodes()) // local index + 1; 0 = outside
 	for li, q := range queries {
@@ -207,7 +215,7 @@ func (g *Graph) Subgraph(queries []int) *Graph {
 	if !sort.IntsAreSorted(queries) {
 		sortEdges(edges)
 	}
-	return newGraph(nodeWeights, edges)
+	return NewGraph(nodeWeights, edges)
 }
 
 // sortEdges orders edges by (U, V).
